@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import IncomparableManifolds, NotTwoTorsion
 from .linalg import FinAbGroup
-from .plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph, filling_signature, link_first_homology
+from .plumbing import DynkinLabel, dynkin_graph, filling_signature, link_first_homology
 from .smale import smale_type_invariant
 from .wu import CohClass
 
@@ -118,14 +118,15 @@ def table_row(label: DynkinLabel) -> TableRow:
     )
 
 
-def formal_smale_type(g: PlumbingGraph):
+def formal_smale_type(sigma: int, alpha: int):
     """(value, is_integral) of 3/2*(sigma - alpha) for an arbitrary graph.
 
-    Odd sigma - alpha cannot arise from embedded Seifert data; the exact
-    rational is reported with a flag instead of raising, since the
-    non-integrality is itself the diagnosis.
+    ``sigma`` is the filling signature and ``alpha`` the 2-torsion rank of
+    H^2, both computed by the caller.  Odd sigma - alpha cannot arise from
+    embedded Seifert data; the exact rational is reported with a flag
+    instead of raising, since the non-integrality is itself the diagnosis.
     """
-    num = 3 * (filling_signature(g) - alpha(g))
+    num = 3 * (sigma - alpha)
     if num % 2:
         return Fraction(num, 2), False
     return num // 2, True

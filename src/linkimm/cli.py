@@ -25,12 +25,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .catalog import np_smale_invariant, singularity_record
 from .classify import (
+    are_regularly_homotopic,
     classify_kinjo_pushforward,
     classify_link_inclusion,
     formal_smale_type,
@@ -58,20 +57,6 @@ TABLE_LABELS = (
 )
 
 JSON_SAFE_MAX = 2 ** 53 - 1
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    """A structured invariant report plus the format it renders to."""
-
-    format: str  # "json" or "md"
-    payload: object  # dict for reports, list of row dicts for the table
-    md_renderer: Callable
-
-    def render(self) -> str:
-        if self.format == "json":
-            return json.dumps(jsonable(self.payload), indent=2)
-        return self.md_renderer(self.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +164,7 @@ def link_payload(label: DynkinLabel) -> dict:
             "parallelization": pushed.parallelization_tag,
             "smale_type": pushed.smale_type,
         },
-        "regularly_homotopic": inclusion.wu == pushed.wu
-        and inclusion.smale_type == pushed.smale_type,
+        "regularly_homotopic": are_regularly_homotopic(inclusion, pushed),
         "smale_r4": {
             "kinjo": smale4_payload(smale_cover),
             "kinjo-reversed": smale4_payload(smale_cover_rev),
@@ -197,13 +181,14 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
     a = intersection_matrix(g)
     h2 = link_first_homology(g)  # raises NotRationalHomologySphere when det = 0
     dec = smith_normal_form(a)
+    sigma = filling_signature(g)
     basis = kernel_mod2(a)
     torsion_square = gamma2(h2, CohClass.zero(h2))
     bock_table = [
-        {"kernel_vector": list(vec), "class": list(bockstein(a, Z2Class(vec)).coords)}
+        {"kernel_vector": list(vec), "class": list(bockstein(a, dec, Z2Class(vec)).coords)}
         for vec in basis
     ]
-    value, integral = formal_smale_type(g)
+    value, integral = formal_smale_type(sigma, h2.two_torsion_rank)
     label = recognize_dynkin(g)
     payload = {
         "source": source,
@@ -221,7 +206,7 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
         "h1_z2_basis": [list(v) for v in basis],
         "h2": group_payload(h2),
         "alpha": h2.two_torsion_rank,
-        "signature": filling_signature(g),
+        "signature": sigma,
         "euler_characteristic": filling_euler_characteristic(g),
         "gamma2_zero": [list(c.coords) for c in torsion_square],
         "bockstein": bock_table,
@@ -494,7 +479,7 @@ def main(argv=None) -> int:
     except NotRationalHomologySphere as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(OutputDocument(args.format, payload, md_renderer).render())
+    print(json.dumps(jsonable(payload), indent=2) if args.format == "json" else md_renderer(payload))
     return 0
 
 

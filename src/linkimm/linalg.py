@@ -8,18 +8,18 @@ tolerance anywhere.  The three workhorses are:
   diagonal, nonnegative, and divisibility-chained; this presents the
   cokernel Z^rows / A*Z^cols of any integer matrix.
 * ``signature`` -- the signature of a symmetric form by exact rational
-  congruence (Schur-complement) elimination, with the usual hyperbolic
-  2x2 step when the remaining diagonal vanishes.
+  congruence (Schur-complement) elimination on sparse rows, with the
+  usual hyperbolic 2x2 step when the remaining diagonal vanishes.
 * ``kernel_mod2`` -- a basis of the mod-2 kernel by Gaussian elimination
   over GF(2), with rows stored as Python-int bitmasks.
 
-Pivoting picks minimal-magnitude entries to keep coefficient growth down;
-correctness, not asymptotics, is the design point (inputs stay below a few
-hundred rows).
+Smith pivoting picks minimal-magnitude entries to keep coefficient growth
+down; signature pivoting picks minimal fill, which keeps it linear on trees.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -385,66 +385,78 @@ def signature(a: IntMatrix) -> int:
     remaining diagonal is identically zero.  Zero eigenvalues contribute
     nothing, so singular forms are fine.  Raises NotSymmetric otherwise.
 
-    The pivot is chosen to minimize fill-in (fewest nonzeros in its
-    column), which keeps tree-shaped intersection forms effectively linear.
+    Each row is stored as a dict of its nonzero entries, so a pivot's fill
+    (the other rows it touches) is its row length less one, and a step
+    updates only the pivot's neighbours.  Pivots come from a heap keyed by
+    (fill, index): the least fill, ties to the lowest index.  On a tree a
+    leaf has fill 1 and is taken whenever its diagonal is nonzero, and its
+    step updates one row: the leaf elimination of Neumann's plumbing
+    calculus, linear up to the heap's log factor.
     """
-    if not a.is_square or not a.is_symmetric():
+    if not a.is_square:
         raise NotSymmetric("signature requires a symmetric matrix")
-    n = a.rows
-    m = [[Fraction(x) for x in a.row(i)] for i in range(n)]
-    active = list(range(n))
+    indices = range(a.rows)
+    rows = {}
+    for i in indices:
+        r = a.row(i)
+        rows[i] = {j: Fraction(r[j]) for j in itertools.compress(indices, r)}
+    if any(rows[j].get(i) != e for i, row in rows.items() for j, e in row.items()):
+        raise NotSymmetric("signature requires a symmetric matrix")
+    heap = [(len(row) - 1, i) for i, row in rows.items() if i in row]
+    heapq.heapify(heap)
     pos = neg = 0
-    while active:
+    while rows:
         pivot = None
-        pivot_fill = None
-        for i in active:
-            if m[i][i]:
-                fill = sum(1 for r in active if r != i and m[r][i])
-                if pivot_fill is None or fill < pivot_fill:
-                    pivot, pivot_fill = i, fill
-                    if fill == 0:
-                        break
+        while heap:
+            fill, i = heapq.heappop(heap)
+            row = rows.get(i)
+            # entries go stale when a row is eliminated or changes; skip those
+            if row is not None and i in row and len(row) - 1 == fill:
+                pivot = i
+                break
         if pivot is not None:
-            i = pivot
-            d = m[i][i]
+            prow = rows.pop(pivot)
+            d = prow.pop(pivot)
             if d > 0:
                 pos += 1
             else:
                 neg += 1
-            active.remove(i)
-            touched = [r for r in active if m[r][i]]
-            for r in touched:
-                f = m[r][i] / d
-                mi = m[i]
-                mr = m[r]
-                for c in active:
-                    if mi[c]:
-                        mr[c] -= f * mi[c]
+            for r, e in prow.items():
+                row = rows[r]
+                del row[pivot]
+                f = e / d
+                for c, x in prow.items():
+                    v = row.get(c, 0) - f * x
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
+                if r in row:
+                    heapq.heappush(heap, (len(row) - 1, r))
             continue
         # Whole remaining diagonal is zero: look for a hyperbolic pair.
-        pair = None
-        for i in active:
-            for j in active:
-                if j > i and m[i][j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i, row in rows.items() for j in row if j != i), None)
         if pair is None:
             break  # remaining block is zero
         i, j = pair
         pos += 1
         neg += 1
-        d = m[i][j]
-        active.remove(i)
-        active.remove(j)
-        for r in active:
-            fi = m[r][i] / d
-            fj = m[r][j] / d
-            if fi or fj:
-                mi, mj, mr = m[i], m[j], m[r]
-                for c in active:
-                    mr[c] -= fi * mj[c] + fj * mi[c]
+        irow, jrow = rows.pop(i), rows.pop(j)
+        d = irow.pop(j)
+        del jrow[i]
+        touched = irow.keys() | jrow.keys()
+        for r in touched:
+            row = rows[r]
+            fi = row.pop(i, 0) / d
+            fj = row.pop(j, 0) / d
+            for c in touched:
+                v = row.get(c, 0) - fi * jrow.get(c, 0) - fj * irow.get(c, 0)
+                if v:
+                    row[c] = v
+                else:
+                    row.pop(c, None)
+            if r in row:
+                heapq.heappush(heap, (len(row) - 1, r))
     return pos - neg
 
 

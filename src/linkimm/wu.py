@@ -11,10 +11,14 @@ Degenerate forms (det A = 0) are rejected rather than partially supported.
 ``gamma2`` solves 2C = chi factor by factor.  ``bockstein`` is the
 connecting map of 0 -> Z -> Z -> Z_2 -> 0 computed on cochains: lift a
 mod-2 cocycle x to the 0/1 vector, halve A*x (exact by the cocycle
-condition), and read the class of the result in coker(A).  Changing a
-parallelization shifts the Wu invariant by the Bockstein of the difference
-class (``wu_switch``), and ``realize_parallelization`` inverts that shift
-by exhausting the (2^alpha-element) mod-2 kernel.
+condition), and read the class of the result in coker(A) through a Smith
+decomposition of A that the caller computes once and passes in.  Changing
+a parallelization shifts the Wu invariant by the Bockstein of the
+difference class (``wu_switch``), and ``realize_parallelization`` inverts
+that shift by exhausting the (2^alpha-element) mod-2 kernel.  It runs one
+Smith decomposition and one Bockstein per basis vector; since the
+Bockstein is additive, each further candidate costs a group addition, not
+a Bockstein.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .errors import (
     NotSymmetric,
     NotTwoTorsion,
 )
-from .linalg import FinAbGroup, IntMatrix, kernel_mod2, smith_normal_form
+from .linalg import FinAbGroup, IntMatrix, SmithDecomposition, kernel_mod2, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -146,62 +150,75 @@ def gamma2(group: FinAbGroup, chi: CohClass) -> list:
     return [CohClass(group, combo) for combo in itertools.product(*per_factor)]
 
 
-def _nondegenerate_snf(a: IntMatrix):
+def _form_group(a: IntMatrix, smith: SmithDecomposition) -> FinAbGroup:
+    """coker(A) read off the given Smith decomposition of A.
+
+    Raises NotSymmetric unless A is a symmetric form, and
+    NotRationalHomologySphere (with the zero count) when the Smith
+    diagonal has zeros.
+    """
     if not a.is_square or not a.is_symmetric():
         raise NotSymmetric("intersection form must be symmetric")
-    dec = smith_normal_form(a)
-    diag = dec.diagonal
+    diag = smith.diagonal
     zero_count = sum(1 for d in diag if d == 0)
     if zero_count:
         raise NotRationalHomologySphere(zero_count)
-    return dec, diag
+    return FinAbGroup(0, tuple(d for d in diag if d > 1))
 
 
-def bockstein(a: IntMatrix, x: Z2Class) -> CohClass:
+def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
     """Connecting homomorphism H^1(M; Z_2) -> H^2(M; Z) on cochains.
 
     Lifts x to its 0/1 representative, halves A*lift (integral exactly
     when x is a cocycle), and expresses the result in invariant-factor
-    coordinates through the Smith transform U.
+    coordinates through the transform U of ``smith``, which must be a
+    Smith decomposition of A (as ``smith_normal_form(a)`` returns).
     """
-    dec, diag = _nondegenerate_snf(a)
+    group = _form_group(a, smith)
     n = a.rows
     if len(x.bits) != n:
         raise NotACocycle(f"cochain length {len(x.bits)} does not match form size {n}")
     lift = x.bits
-    image = [sum(a[i, j] * lift[j] for j in range(n)) for i in range(n)]
+    image = [sum(e * b for e, b in zip(a.row(i), lift)) for i in range(n)]
     if any(v % 2 for v in image):
         raise NotACocycle(f"{x} is not in the mod-2 kernel")
     half = [v // 2 for v in image]
-    u = dec.u
-    transformed = [sum(u[i, j] * half[j] for j in range(n)) for i in range(n)]
-    group = FinAbGroup(0, tuple(d for d in diag if d > 1))
-    coords = tuple(t % d for t, d in zip(transformed, diag) if d > 1)
+    u = smith.u
+    coords = tuple(
+        sum(e * h for e, h in zip(u.row(i), half)) % d
+        for i, d in enumerate(smith.diagonal)
+        if d > 1
+    )
     return CohClass(group, coords)
 
 
 def wu_switch(c0: CohClass, a: IntMatrix, d: Z2Class) -> CohClass:
     """Wu invariant after a parallelization change with difference class d."""
-    return c0 + bockstein(a, d)
+    return c0 + bockstein(a, smith_normal_form(a), d)
 
 
 def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     """A difference class whose Bockstein hits the given 2-torsion target.
 
     Searches the span of the mod-2 kernel (dimension alpha, so at most
-    2^alpha candidates).  Every 2-torsion class of a nondegenerate form is
-    hit; NoPreimageFound therefore signals input outside those hypotheses
-    rather than a search limitation.
+    2^alpha candidates) in ``itertools.product`` order and returns the
+    first hit.  Every 2-torsion class of a nondegenerate form is hit;
+    NoPreimageFound therefore signals input outside those hypotheses
+    (a target from another group, say) rather than a search limitation.
     """
     if not target.is_two_torsion:
         raise NotTwoTorsion(f"target {target} does not satisfy 2C = 0")
     basis = kernel_mod2(a)
+    smith = smith_normal_form(a)
+    zero = CohClass.zero(_form_group(a, smith))
+    # beta is additive, so a candidate's image is the sum of its basis images
+    images = [bockstein(a, smith, Z2Class(vec)) for vec in basis]
     n = a.rows
     for picks in itertools.product((0, 1), repeat=len(basis)):
-        candidate = Z2Class.zero(n)
-        for take, vec in zip(picks, basis):
+        candidate, image = Z2Class.zero(n), zero
+        for take, vec, cls in zip(picks, basis, images):
             if take:
-                candidate = candidate + Z2Class(vec)
-        if bockstein(a, candidate) == target:
+                candidate, image = candidate + Z2Class(vec), image + cls
+        if image == target:
             return candidate
     raise NoPreimageFound(f"no mod-2 class maps to {target}")

@@ -11,7 +11,7 @@ from linkimm.classify import (
 )
 from linkimm.errors import IncomparableManifolds, NotTwoTorsion
 from linkimm.linalg import FinAbGroup
-from linkimm.plumbing import DynkinLabel, PlumbingGraph
+from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, filling_signature
 from linkimm.wu import CohClass
 
 ALL_LABELS = (
@@ -118,12 +118,12 @@ class TestTableRow:
 class TestFormalSmaleType:
     def test_integral_case(self):
         g = PlumbingGraph.build([(0, -2)])
-        value, integral = formal_smale_type(g)
+        value, integral = formal_smale_type(filling_signature(g), alpha(g))
         assert integral and value == -3  # sigma = -1, alpha = 1
 
     def test_non_integral_case(self):
         # sigma = -1, alpha = 0: 3/2*(-1) is a half-integer
         g = PlumbingGraph.build([(0, -3)])
-        value, integral = formal_smale_type(g)
+        value, integral = formal_smale_type(filling_signature(g), alpha(g))
         assert not integral
         assert value == Fraction(-3, 2)

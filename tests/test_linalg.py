@@ -1,4 +1,6 @@
 import random
+import time
+from fractions import Fraction
 
 import pytest
 from linkimm.errors import NotSymmetric
@@ -17,6 +19,7 @@ from oracles import (
     CosetGroup,
     random_matrix,
     random_symmetric,
+    random_tree_edges,
     signature_by_root_count,
 )
 
@@ -155,6 +158,111 @@ class TestSignature:
             n = rng.randint(1, 6)
             rows = random_symmetric(rng, n)
             assert signature(IntMatrix.from_rows(rows)) == signature_by_root_count(rows)
+
+    def test_awkward_forms_against_root_counting(self):
+        """Zero diagonals, hyperbolic blocks and singular forms, n <= 10."""
+        rng = random.Random(4242)
+        kinds = {"zero diagonal": 0, "hyperbolic": 0, "singular": 0}
+        for _ in range(90):
+            n = rng.randint(1, 10)
+            kind = rng.choice(sorted(kinds))
+            if kind == "hyperbolic":
+                # zero diagonal, sparse coupling: only hyperbolic steps apply at first
+                rows = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if rng.random() < 0.3:
+                            rows[i][j] = rows[j][i] = rng.choice((-3, -1, 1, 2))
+            else:
+                rows = random_symmetric(rng, n, -3, 3)
+                for i in range(n):
+                    if kind == "zero diagonal" or rng.random() < 0.3:
+                        rows[i][i] = 0
+                if kind == "singular" and n >= 2:
+                    # make vertex k a copy of vertex j: e_k - e_j is in the kernel
+                    j, k = rng.sample(range(n), 2)
+                    pick = [j if t == k else t for t in range(n)]
+                    rows = [[rows[pick[r]][pick[c]] for c in range(n)] for r in range(n)]
+                    assert determinant(IntMatrix.from_rows(rows)) == 0
+            kinds[kind] += 1
+            assert signature(IntMatrix.from_rows(rows)) == signature_by_root_count(rows), rows
+        assert min(kinds.values()) >= 20
+
+    @staticmethod
+    def leaf_elimination(weights, parent, signs):
+        """Signature of a tree form by continued fractions, leaves first.
+
+        Vertex v > 0 hangs below parent[v] < v, so descending order visits
+        children before parents.  A vertex whose reduced weight is 0 pairs
+        with its parent into a hyperbolic block (one + and one -), which
+        cuts the parent off from the rest of the tree; further zero
+        children of that parent are left isolated and count nothing.
+        """
+        n = len(weights)
+        reduced = [Fraction(w) for w in weights]
+        cut = [False] * n
+        zero_child = [False] * n
+        pos = neg = 0
+        for v in range(n - 1, -1, -1):
+            if zero_child[v]:
+                pos += 1
+                neg += 1
+                cut[v] = True
+                continue
+            e = reduced[v]
+            if e > 0:
+                pos += 1
+            elif e < 0:
+                neg += 1
+            if v == 0:
+                continue
+            p = parent[v]
+            if e == 0:
+                zero_child[p] = True
+            else:
+                reduced[p] -= Fraction(signs[v] ** 2) / e
+        return pos - neg
+
+    def test_random_trees_against_leaf_elimination(self):
+        rng = random.Random(8080)
+        for _ in range(60):
+            n = rng.randint(1, 120)
+            parent = [None] + [p for _, p in random_tree_edges(rng, n)]
+            signs = [None] + [rng.choice((1, -1)) for _ in range(1, n)]
+            weights = [rng.randint(-4, 4) for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
+            for v in range(n):
+                rows[v][v] = weights[v]
+                if v:
+                    rows[v][parent[v]] = rows[parent[v]][v] = signs[v]
+            expected = self.leaf_elimination(weights, parent, signs)
+            assert signature(IntMatrix.from_rows(rows)) == expected
+
+    def test_leaf_elimination_against_root_counting(self):
+        rng = random.Random(9090)
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            parent = [None] + [p for _, p in random_tree_edges(rng, n)]
+            signs = [None] + [rng.choice((1, -1)) for _ in range(1, n)]
+            weights = [rng.randint(-2, 2) for _ in range(n)]
+            rows = [[0] * n for _ in range(n)]
+            for v in range(n):
+                rows[v][v] = weights[v]
+                if v:
+                    rows[v][parent[v]] = rows[parent[v]][v] = signs[v]
+            assert self.leaf_elimination(weights, parent, signs) == signature_by_root_count(rows)
+
+    @pytest.mark.parametrize("vertices, edges", [
+        (400, [(i, i + 1) for i in range(399)]),  # A_400
+        (200, [(i, i + 1) for i in range(197)] + [(197, 198), (197, 199)]),  # D_200
+        (8, E8_EDGES),
+    ])
+    def test_large_dynkin_forms(self, vertices, edges):
+        a = IntMatrix.from_rows(cartan_from_edges(vertices, edges))
+        start = time.perf_counter()
+        assert signature(a) == -vertices
+        # a generous bound: the dense min-fill search took seconds on A_400
+        assert time.perf_counter() - start < 1.0
 
 
 class TestKernelMod2:

@@ -7,9 +7,10 @@ from linkimm.errors import (
     NoPreimageFound,
     NotACocycle,
     NotRationalHomologySphere,
+    NotSymmetric,
     NotTwoTorsion,
 )
-from linkimm.linalg import FinAbGroup, IntMatrix, kernel_mod2
+from linkimm.linalg import FinAbGroup, IntMatrix, cokernel, kernel_mod2, smith_normal_form
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph, intersection_matrix
 from linkimm.wu import CohClass, Z2Class, bockstein, gamma2, realize_parallelization, wu_switch
 
@@ -100,41 +101,48 @@ class TestGamma2:
 
 class TestBockstein:
     def test_a1_generator(self):
-        cls = bockstein(A1, Z2Class((1,)))
+        cls = bockstein(A1, smith_normal_form(A1), Z2Class((1,)))
         assert cls.parent == FinAbGroup(0, (2,))
         assert cls.coords == (1,)
 
     def test_zero_maps_to_zero(self):
         for mat in [A1, e7_matrix()]:
-            assert bockstein(mat, Z2Class.zero(mat.rows)).is_zero
+            assert bockstein(mat, smith_normal_form(mat), Z2Class.zero(mat.rows)).is_zero
 
     def test_e7_generator_nonzero(self):
         a = e7_matrix()
         (gen,) = kernel_mod2(a)
-        cls = bockstein(a, Z2Class(gen))
+        cls = bockstein(a, smith_normal_form(a), Z2Class(gen))
         assert cls.parent == FinAbGroup(0, (2,))
         assert cls.coords == (1,)
 
     def test_rejects_non_cocycle(self):
         a = IntMatrix.from_rows([[-2, 1], [1, -2]])
         with pytest.raises(NotACocycle):
-            bockstein(a, Z2Class((1, 0)))
+            bockstein(a, smith_normal_form(a), Z2Class((1, 0)))
+
+    def test_rejects_asymmetric(self):
+        a = IntMatrix.from_rows([[-2, 1], [0, -2]])
+        with pytest.raises(NotSymmetric):
+            bockstein(a, smith_normal_form(a), Z2Class((0, 0)))
 
     def test_rejects_degenerate(self):
+        a = IntMatrix.from_rows([[0]])
         with pytest.raises(NotRationalHomologySphere):
-            bockstein(IntMatrix.from_rows([[0]]), Z2Class((1,)))
+            bockstein(a, smith_normal_form(a), Z2Class((1,)))
 
     def test_image_is_two_torsion_and_additive(self):
         rng = random.Random(271828)
         for _ in range(40):
             vertices, edges = random_negative_definite_tree(rng)
             a = intersection_matrix(PlumbingGraph.build(vertices, edges))
+            dec = smith_normal_form(a)
             span = kernel_span(a)
             for x in span:
-                assert bockstein(a, x).is_two_torsion
+                assert bockstein(a, dec, x).is_two_torsion
             for _ in range(5):
                 x, y = rng.choice(span), rng.choice(span)
-                assert bockstein(a, x + y) == bockstein(a, x) + bockstein(a, y)
+                assert bockstein(a, dec, x + y) == bockstein(a, dec, x) + bockstein(a, dec, y)
 
     def test_lift_independence_by_brute_force(self):
         """All 2^n integral lifts with coordinates in {b, b-2} give one class."""
@@ -167,7 +175,8 @@ class TestBocksteinAgainstCosetOracle:
         a = intersection_matrix(dynkin_graph(DynkinLabel(*label)))
         group = CosetGroup(a.to_rows())
         span = kernel_span(a)
-        lib = {x.bits: bockstein(a, x) for x in span}
+        dec = smith_normal_form(a)
+        lib = {x.bits: bockstein(a, dec, x) for x in span}
         for x in span:
             for y in span:
                 same_by_oracle = group.same_class(self.oracle_half(a, x.bits), self.oracle_half(a, y.bits))
@@ -230,6 +239,49 @@ class TestRealizeParallelization:
         with pytest.raises(NoPreimageFound):
             realize_parallelization(a, foreign)
 
+    def test_rejects_asymmetric_with_trivial_kernel(self):
+        # odd determinant, so no Bockstein is ever taken: the form is still checked
+        a = IntMatrix.from_rows([[1, 1], [0, 1]])
+        with pytest.raises(NotSymmetric):
+            realize_parallelization(a, CohClass.zero(FinAbGroup(0, ())))
+
+    @staticmethod
+    def first_preimages(a):
+        """Brute force: the first candidate in product order hitting each class."""
+        dec = smith_normal_form(a)
+        first = {}
+        for candidate in kernel_span(a):
+            first.setdefault(bockstein(a, dec, candidate).coords, candidate)
+        return first
+
+    def assert_matches_brute_force(self, a):
+        h = cokernel(a)
+        first = self.first_preimages(a)
+        targets = gamma2(h, CohClass.zero(h))
+        assert len(first) == len(targets)
+        for target in targets:
+            assert realize_parallelization(a, target) == first[target.coords]
+
+    def test_matches_brute_force_on_stars(self):
+        rng = random.Random(5150)
+        seen = set()
+        while len(seen) < 7:
+            leaves = rng.randint(1, 8)
+            vertices = [(0, rng.randint(-6, -1))] + [(v, rng.choice((-2, -3, -4))) for v in range(1, leaves + 1)]
+            edges = [(0, v, rng.choice((1, -1))) for v in range(1, leaves + 1)]
+            a = intersection_matrix(PlumbingGraph.build(vertices, edges))
+            h = cokernel(a)
+            if h.free_rank or h.two_torsion_rank > 6 or h.two_torsion_rank in seen:
+                continue
+            seen.add(h.two_torsion_rank)
+            self.assert_matches_brute_force(a)
+
+    def test_matches_brute_force_on_random_trees(self):
+        rng = random.Random(314159)
+        for _ in range(40):
+            vertices, edges = random_negative_definite_tree(rng)
+            self.assert_matches_brute_force(intersection_matrix(PlumbingGraph.build(vertices, edges)))
+
     def test_surjectivity_on_random_trees(self):
         rng = random.Random(314159)
         from linkimm.linalg import cokernel
@@ -241,5 +293,6 @@ class TestRealizeParallelization:
             h = cokernel(a)
             targets = gamma2(h, CohClass.zero(h))
             assert len(targets) == 2 ** alpha(g)
-            hit = {bockstein(a, realize_parallelization(a, t)).coords for t in targets}
+            dec = smith_normal_form(a)
+            hit = {bockstein(a, dec, realize_parallelization(a, t)).coords for t in targets}
             assert hit == {t.coords for t in targets}
