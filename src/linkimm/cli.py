@@ -89,6 +89,15 @@ def jsonable(value):
     Integers outside +-(2^53 - 1) and all exact rationals become strings,
     so parsing the document recovers every number bit-exactly.
     """
+    kind = type(value)
+    if kind is int:
+        return value if -JSON_SAFE_MAX <= value <= JSON_SAFE_MAX else str(value)
+    if kind is list or kind is tuple:
+        # matrix rows are mostly small ints; convert those in place
+        return [v if type(v) is int and -JSON_SAFE_MAX <= v <= JSON_SAFE_MAX else jsonable(v)
+                for v in value]
+    if kind is dict:
+        return {k: jsonable(v) for k, v in value.items()}
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, int):
@@ -177,17 +186,23 @@ def link_payload(label: DynkinLabel) -> dict:
     }
 
 
+def _cohomology_rows(a, h2, dec) -> tuple:
+    """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows."""
+    basis = kernel_mod2(a)
+    return (
+        [list(v) for v in basis],
+        [list(c.coords) for c in gamma2(h2, CohClass.zero(h2))],
+        [{"kernel_vector": list(vec), "class": list(bockstein(a, dec, Z2Class(vec)).coords)}
+         for vec in basis],
+    )
+
+
 def graph_payload(g: PlumbingGraph, source: str) -> dict:
     a = intersection_matrix(g)
     h2 = link_first_homology(g)  # raises NotRationalHomologySphere when det = 0
     dec = smith_normal_form(a)
     sigma = filling_signature(g)
-    basis = kernel_mod2(a)
-    torsion_square = gamma2(h2, CohClass.zero(h2))
-    bock_table = [
-        {"kernel_vector": list(vec), "class": list(bockstein(a, dec, Z2Class(vec)).coords)}
-        for vec in basis
-    ]
+    basis, torsion_square, bock_table = _cohomology_rows(a, h2, dec)
     value, integral = formal_smale_type(sigma, h2.two_torsion_rank)
     label = recognize_dynkin(g)
     payload = {
@@ -203,12 +218,12 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
             "v": dec.v.to_rows(),
             "diagonal": list(dec.diagonal),
         },
-        "h1_z2_basis": [list(v) for v in basis],
+        "h1_z2_basis": basis,
         "h2": group_payload(h2),
         "alpha": h2.two_torsion_rank,
         "signature": sigma,
         "euler_characteristic": filling_euler_characteristic(g),
-        "gamma2_zero": [list(c.coords) for c in torsion_square],
+        "gamma2_zero": torsion_square,
         "bockstein": bock_table,
         "class": {
             "wu": [0] * len(h2.invariant_factors),
@@ -223,10 +238,19 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
 
 
 def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
-    full = graph_payload(g, source)
+    """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
+    a = intersection_matrix(g)
+    h2 = link_first_homology(g)  # raises NotRationalHomologySphere when det = 0
+    basis, torsion_square, bock_table = _cohomology_rows(a, h2, smith_normal_form(a))
+    label = recognize_dynkin(g)
     return {
-        key: full[key]
-        for key in ("source", "resolved_label", "formal", "h1_z2_basis", "h2", "gamma2_zero", "bockstein")
+        "source": source,
+        "resolved_label": label.name if label else None,
+        "formal": label is None,
+        "h1_z2_basis": basis,
+        "h2": group_payload(h2),
+        "gamma2_zero": torsion_square,
+        "bockstein": bock_table,
     }
 
 

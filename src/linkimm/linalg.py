@@ -6,7 +6,10 @@ tolerance anywhere.  The three workhorses are:
 
 * ``smith_normal_form`` -- a unimodular factorization U*A*V = S with S
   diagonal, nonnegative, and divisibility-chained; this presents the
-  cokernel Z^rows / A*Z^cols of any integer matrix.
+  cokernel Z^rows / A*Z^cols of any integer matrix.  The elimination
+  runs on A alone and logs its steps; U and V are built from the logs
+  on first read, so a caller that needs only the diagonal (``cokernel``)
+  never builds them.
 * ``signature`` -- the signature of a symmetric form by exact rational
   congruence (Schur-complement) elimination on sparse rows, with the
   usual hyperbolic 2x2 step when the remaining diagonal vanishes.
@@ -15,14 +18,19 @@ tolerance anywhere.  The three workhorses are:
 
 Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
+
+Matrices built from outside input (``IntMatrix(...)``, ``from_rows``) have
+every entry checked to be an int; matrices the library computes itself
+(S, U, V, ``identity``, ``transpose``, ``@``) skip that check.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotSymmetric
@@ -47,6 +55,13 @@ class IntMatrix:
             if not isinstance(e, int):
                 raise ValueError(f"non-integer entry {e!r}")
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """A matrix of entries the library computed itself: no per-entry check."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return m
+
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
@@ -58,7 +73,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -86,7 +101,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
+        return IntMatrix._trusted(
             self.cols,
             self.rows,
             tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
@@ -100,7 +115,7 @@ class IntMatrix:
             ri = self.row(i)
             for j in range(other.cols):
                 out.append(sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     @property
     def is_square(self) -> bool:
@@ -127,11 +142,31 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal S with U*A*V = S for the input A."""
+    """Unimodular U, V and diagonal S with U*A*V = S for the input A.
 
-    u: IntMatrix
+    The elimination keeps S and a log of its row steps and of its column
+    steps.  U is built on the first read of ``u``, by replaying the row
+    log on an identity matrix; V likewise on the first read of ``v``, from
+    the column log replayed as row steps on V^T.  A caller that reads only
+    ``s`` or ``diagonal`` never pays for the transforms, whose entries can
+    run to hundreds of bits.
+    """
+
     s: IntMatrix
-    v: IntMatrix
+    row_steps: tuple = field(repr=False)
+    col_steps: tuple = field(repr=False)
+
+    @functools.cached_property
+    def u(self) -> IntMatrix:
+        n = self.s.rows
+        rows = _replay(n, self.row_steps)
+        return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
+
+    @functools.cached_property
+    def v(self) -> IntMatrix:
+        n = self.s.cols
+        rows = zip(*_replay(n, self.col_steps))  # the replay builds V^T
+        return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
 
     @property
     def diagonal(self) -> tuple:
@@ -241,18 +276,49 @@ def _col_axpy(m, j, k, c):
             row[j] += c * e
 
 
+def _combine_rows(m, i, j, c):
+    """(row_i, row_j) <- (x row_i + y row_j, p row_i + q row_j) for c = (x, y, p, q)."""
+    x, y, p, q = c
+    ri, rj = m[i], m[j]
+    m[i] = [x * e + y * f for e, f in zip(ri, rj)]
+    m[j] = [p * e + q * f for e, f in zip(ri, rj)]
+
+
+def _replay(n: int, steps) -> list:
+    """Rows of the n x n identity after the logged row steps, in order.
+
+    A step is ``(op, i, j, c)``: "swap" rows i and j; "axpy" row_i += c *
+    row_j; "neg" negates row i; "combine" replaces rows i and j by
+    (x row_i + y row_j, p row_i + q row_j) for c = (x, y, p, q).
+    """
+    m = IntMatrix.identity(n).to_rows()
+    for op, i, j, c in steps:
+        if op == "axpy":
+            _row_axpy(m, i, j, c)
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "neg":
+            m[i] = [-e for e in m[i]]
+        else:
+            _combine_rows(m, i, j, c)
+    return m
+
+
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: U*A*V = S exactly.
 
     U and V are unimodular; S is (rectangular-)diagonal and nonnegative
     with S[i,i] | S[i+1,i+1].  Works for any integer matrix, including
     empty and rectangular ones.  Pivots are chosen with minimal absolute
-    value to limit coefficient growth.
+    value to limit coefficient growth.  The elimination runs on A alone
+    and logs its steps; U and V are built from the logs on first read
+    (see ``SmithDecomposition``).
     """
     nr, nc = a.rows, a.cols
     m = a.to_rows()
-    u = IntMatrix.identity(nr).to_rows()
-    v = IntMatrix.identity(nc).to_rows()
+    # Row steps act on U, column steps on V; a column step on V is logged
+    # as the same row step on V^T.
+    row_steps, col_steps = [], []
 
     t = 0
     limit = min(nr, nc)
@@ -264,12 +330,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             i, j = pos
             if i != t:
                 m[t], m[i] = m[i], m[t]
-                u[t], u[i] = u[i], u[t]
+                row_steps.append(("swap", t, i, None))
             if j != t:
                 for row in m:
                     row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
+                col_steps.append(("swap", t, j, None))
             p = m[t][t]
             dirty = False
             for i in range(t + 1, nr):
@@ -278,7 +343,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     q = e // p
                     if q:
                         _row_axpy(m, i, t, -q)
-                        _row_axpy(u, i, t, -q)
+                        row_steps.append(("axpy", i, t, -q))
                     if m[i][t]:
                         dirty = True
             if not dirty:
@@ -288,7 +353,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                         q = e // p
                         if q:
                             _col_axpy(m, j, t, -q)
-                            _col_axpy(v, j, t, -q)
+                            col_steps.append(("axpy", j, t, -q))
                         if m[t][j]:
                             dirty = True
             if not dirty:
@@ -300,8 +365,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         if m[i][i] < 0:
             for j in range(nc):
                 m[i][j] = -m[i][j]
-            for j in range(nr):
-                u[i][j] = -u[i][j]
+            row_steps.append(("neg", i, i, None))
 
     # Enforce the divisibility chain with gcd/lcm 2x2 transforms; zero
     # diagonal entries sink to the end (gcd(0, d) = d, lcm = 0).
@@ -317,23 +381,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     continue
                 g, x, y = _xgcd(di, dj)
                 _col_axpy(m, i, j, 1)
-                _col_axpy(v, i, j, 1)
-                bi, bj = m[i][:], m[j][:]
-                m[i] = [x * p + y * q for p, q in zip(bi, bj)]
-                m[j] = [-(dj // g) * p + (di // g) * q for p, q in zip(bi, bj)]
-                bi, bj = u[i][:], u[j][:]
-                u[i] = [x * p + y * q for p, q in zip(bi, bj)]
-                u[j] = [-(dj // g) * p + (di // g) * q for p, q in zip(bi, bj)]
+                col_steps.append(("axpy", i, j, 1))
+                combine = (x, y, -(dj // g), di // g)
+                _combine_rows(m, i, j, combine)
+                row_steps.append(("combine", i, j, combine))
                 c = (y * dj) // g
                 if c:
                     _col_axpy(m, j, i, -c)
-                    _col_axpy(v, j, i, -c)
+                    col_steps.append(("axpy", j, i, -c))
                 changed = True
 
     return SmithDecomposition(
-        u=IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()),
-        s=IntMatrix.from_rows(m) if nr else IntMatrix(0, nc, ()),
-        v=IntMatrix.from_rows(v) if nc else IntMatrix(0, 0, ()),
+        IntMatrix._trusted(nr, nc, tuple(itertools.chain.from_iterable(m))),
+        tuple(row_steps),
+        tuple(col_steps),
     )
 
 

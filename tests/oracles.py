@@ -5,7 +5,9 @@ characteristic polynomial is built by Faddeev-LeVerrier over exact
 rationals, cokernel structure is recovered by explicit coset enumeration
 with membership decided through a rational inverse, and group structure is
 read off p-power torsion counts.  These are the reference values the fast
-implementations are checked against.
+implementations are checked against.  ``smith_normal_form_eager`` keeps the
+Smith normal form that updated U and V alongside S, as the reference for
+the library's version that builds them from a step log.
 """
 
 from __future__ import annotations
@@ -184,6 +186,147 @@ def _prime_factors(n):
     if n > 1:
         out.append(n)
     return out
+
+
+# ---------------------------------------------------------------------------
+# eager Smith normal form: the reference for the library's logged one
+
+
+def _xgcd(a: int, b: int):
+    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    g, r = a, b
+    while r:
+        q = g // r
+        g, r = r, g - q * r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if g < 0:
+        g, x0, y0 = -g, -x0, -y0
+    return g, x0, y0
+
+
+def _find_min_pivot(m, t, nr, nc):
+    """Position of a minimal-magnitude nonzero entry of m[t:, t:], or None."""
+    best = None
+    best_abs = None
+    for i in range(t, nr):
+        row = m[i]
+        for j in range(t, nc):
+            e = row[j]
+            if e:
+                a = -e if e < 0 else e
+                if best_abs is None or a < best_abs:
+                    best, best_abs = (i, j), a
+                    if a == 1:
+                        return best
+    return best
+
+
+def _row_axpy(m, i, k, c):
+    """row_i += c * row_k (skipping zero source entries)."""
+    ri, rk = m[i], m[k]
+    for j, e in enumerate(rk):
+        if e:
+            ri[j] += c * e
+
+
+def _col_axpy(m, j, k, c):
+    """col_j += c * col_k."""
+    for row in m:
+        e = row[k]
+        if e:
+            row[j] += c * e
+
+
+def smith_normal_form_eager(rows, nc):
+    """(U, S, V) as row lists, with U and V updated alongside every step.
+
+    The library's ``smith_normal_form`` before its transforms were built
+    from a step log: the same pivots, steps and order, so its U, S and V
+    must equal these entry for entry.  ``nc`` gives the column count of
+    a matrix with no rows.
+    """
+    nr = len(rows)
+    m = [list(r) for r in rows]
+    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        pos = _find_min_pivot(m, t, nr, nc)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                m[t], m[i] = m[i], m[t]
+                u[t], u[i] = u[i], u[t]
+            if j != t:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+                for row in v:
+                    row[t], row[j] = row[j], row[t]
+            p = m[t][t]
+            dirty = False
+            for i in range(t + 1, nr):
+                e = m[i][t]
+                if e:
+                    q = e // p
+                    if q:
+                        _row_axpy(m, i, t, -q)
+                        _row_axpy(u, i, t, -q)
+                    if m[i][t]:
+                        dirty = True
+            if not dirty:
+                for j in range(t + 1, nc):
+                    e = m[t][j]
+                    if e:
+                        q = e // p
+                        if q:
+                            _col_axpy(m, j, t, -q)
+                            _col_axpy(v, j, t, -q)
+                        if m[t][j]:
+                            dirty = True
+            if not dirty:
+                break
+            pos = _find_min_pivot(m, t, nr, nc)
+        t += 1
+
+    for i in range(limit):
+        if m[i][i] < 0:
+            for j in range(nc):
+                m[i][j] = -m[i][j]
+            for j in range(nr):
+                u[i][j] = -u[i][j]
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(limit - 1):
+            for j in range(i + 1, limit):
+                di, dj = m[i][i], m[j][j]
+                if di == 0 and dj == 0:
+                    continue
+                if di != 0 and dj % di == 0:
+                    continue
+                g, x, y = _xgcd(di, dj)
+                _col_axpy(m, i, j, 1)
+                _col_axpy(v, i, j, 1)
+                bi, bj = m[i][:], m[j][:]
+                m[i] = [x * p + y * q for p, q in zip(bi, bj)]
+                m[j] = [-(dj // g) * p + (di // g) * q for p, q in zip(bi, bj)]
+                bi, bj = u[i][:], u[j][:]
+                u[i] = [x * p + y * q for p, q in zip(bi, bj)]
+                u[j] = [-(dj // g) * p + (di // g) * q for p, q in zip(bi, bj)]
+                c = (y * dj) // g
+                if c:
+                    _col_axpy(m, j, i, -c)
+                    _col_axpy(v, j, i, -c)
+                changed = True
+
+    return u, m, v
 
 
 # ---------------------------------------------------------------------------

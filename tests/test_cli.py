@@ -1,9 +1,14 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
+from linkimm import cli
 from linkimm.cli import jsonable, main, parse_label
-from linkimm.errors import InvalidParameter
-from linkimm.plumbing import DynkinLabel, dynkin_graph
+from linkimm.errors import InvalidParameter, NotRationalHomologySphere
+from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph
+
+from oracles import random_tree_edges
 
 
 def run(capsys, *argv):
@@ -179,6 +184,51 @@ class TestBocksteinCommand:
         assert len(doc["bockstein"]) == 2
         assert len(doc["gamma2_zero"]) == 4
 
+    @staticmethod
+    def corpus():
+        """Two random trees per alpha = 0..6, stars with alpha 3..8, A/D/E diagrams."""
+        rng = random.Random(77)
+        trees = {a: [] for a in range(7)}
+        while any(len(found) < 2 for found in trees.values()):
+            n = rng.randint(8, 40)
+            g = PlumbingGraph.from_dict({
+                "vertices": [{"id": i, "weight": rng.choice((-2, -2, -2, -4, 2, -1, -3, -5, 1))}
+                             for i in range(n)],
+                "edges": [{"a": a, "b": b, "sign": rng.choice((1, -1))}
+                          for a, b in random_tree_edges(rng, n)],
+            })
+            try:
+                a = alpha(g)
+            except NotRationalHomologySphere:
+                continue
+            if a in trees and len(trees[a]) < 2:
+                trees[a].append(g)
+        stars = [PlumbingGraph.from_dict({
+            "vertices": [{"id": 0, "weight": rng.choice((-1, -5, 1, 3))}]  # 2w != -#leaves
+                        + [{"id": i, "weight": -2} for i in range(1, k + 2)],
+            "edges": [{"a": 0, "b": i, "sign": rng.choice((1, -1))} for i in range(1, k + 2)],
+        }) for k in range(3, 9)]
+        dynkin = [dynkin_graph(DynkinLabel(f, n)) for f in "AD" for n in range(2, 10)]
+        dynkin += [dynkin_graph(DynkinLabel("E", k)) for k in (6, 7, 8)]
+        return [g for found in trees.values() for g in found] + stars + dynkin
+
+    def test_payload_is_the_graph_payload_slice(self):
+        keys = ("source", "resolved_label", "formal", "h1_z2_basis", "h2", "gamma2_zero", "bockstein")
+        for k, g in enumerate(self.corpus()):
+            full = cli.graph_payload(g, f"g{k}")
+            assert cli.bockstein_payload(g, f"g{k}") == {key: full[key] for key in keys}
+
+    def test_degenerate_star_exits_3(self, capsys, tmp_path):
+        # 2m leaves of weight -2 around a centre of weight -m: det = 0
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "weight": -2}] + [{"id": i, "weight": -2} for i in range(1, 5)],
+            "edges": [{"a": 0, "b": i} for i in range(1, 5)],
+        }))
+        code, out, err = run(capsys, "bockstein", str(path))
+        assert code == 3 and not out
+        assert "free rank 1" in err
+
 
 class TestSmale:
     def test_kinjo(self, capsys):
@@ -229,7 +279,36 @@ class TestJsonExactness:
         assert jsonable(2 ** 53 - 1) == 2 ** 53 - 1
         assert jsonable(2 ** 53) == str(2 ** 53)
         assert jsonable(-(2 ** 53)) == str(-(2 ** 53))
-        from fractions import Fraction
-
         assert jsonable(Fraction(-3, 2)) == "-3/2"
         assert jsonable({"x": [True, None, "s"]}) == {"x": [True, None, "s"]}
+        out = jsonable([1, True, 0, False])
+        assert out == [1, True, 0, False] and [type(v) for v in out] == [int, bool, int, bool]
+        out = jsonable((True, 2))
+        assert out == [True, 2] and [type(v) for v in out] == [bool, int]
+        big = 2 ** 53
+        assert jsonable([[big - 1, big], (-big, 1 - big), [[(big,)]]]) == [
+            [big - 1, str(big)], [str(-big), 1 - big], [[[str(big)]]]]
+        assert jsonable([Fraction(1, 2), 3, Fraction(4)]) == ["1/2", 3, "4/1"]
+
+    @staticmethod
+    def recursive_jsonable(value):
+        """The converter before its type-dispatch fast path: the reference."""
+        if isinstance(value, bool) or value is None or isinstance(value, str):
+            return value
+        if isinstance(value, int):
+            return value if -(2 ** 53 - 1) <= value <= 2 ** 53 - 1 else str(value)
+        if isinstance(value, Fraction):
+            return f"{value.numerator}/{value.denominator}"
+        if isinstance(value, (list, tuple)):
+            return [TestJsonExactness.recursive_jsonable(v) for v in value]
+        if isinstance(value, dict):
+            return {k: TestJsonExactness.recursive_jsonable(v) for k, v in value.items()}
+        raise TypeError(f"cannot serialize {value!r}")
+
+    def test_jsonable_matches_recursive_reference(self):
+        odd = PlumbingGraph.from_dict({"vertices": [{"id": 0, "weight": -3}]})
+        big = PlumbingGraph.from_dict({"vertices": [{"id": 0, "weight": -(2 ** 60)}]})
+        for g in (dynkin_graph(DynkinLabel("D", 6)), odd, big) + tuple(TestBocksteinCommand.corpus()[:4]):
+            payload = cli.graph_payload(g, "g.json")
+            expected = self.recursive_jsonable(payload)
+            assert json.dumps(jsonable(payload)) == json.dumps(expected)

@@ -1,0 +1,93 @@
+"""Golden bytes: the CLI renderings of a fixed corpus hash to recorded digests.
+
+Each group renders its payloads exactly as ``linkimm`` prints them (JSON
+with indent 2, and markdown) and hashes the lot, so any byte drift in a
+report fails here before it reaches a user.  A degenerate form's exit-3
+message is hashed in place of its report.  The digests were recorded
+from the code before the Smith transforms became lazy; a deliberate
+output change must update them in the same change.
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+from linkimm import cli
+from linkimm.errors import NotRationalHomologySphere
+from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph
+
+from oracles import random_tree_edges
+
+LABELS = (
+    [DynkinLabel("A", n) for n in range(2, 13)]
+    + [DynkinLabel("D", n) for n in range(2, 11)]
+    + [DynkinLabel("E", k) for k in (6, 7, 8)]
+)
+
+DIGESTS = {
+    "bockstein": "275b57678e0dc74dc00bb156bdd09b1a51673aa43280bf3d8a94bfb0a09edebc",
+    "graph": "d99844d92319c5900fe9850e7ee8459515636347f026f3688a7dad06ce4ec4be",
+    "link": "516044c688736be9b89b51b822c2896548e2e9fe300456414f9ea941edbc79fe",
+    "smale": "b8f815aa2d2251af97a4b5c2e22ef5a582b00e85469afd35be8c31efba1e3529",
+    "table": "e30b4e739d16f0385c2a5d5b5cbd0a39d491f7461e66b29880619698da42d4a9",
+}
+
+
+def graph_corpus():
+    """Seeded mixed-weight trees of 1..40 vertices, stars with alpha 3..8, D_4 and E_8."""
+    rng = random.Random(4242)
+    docs = []
+    for n in (1, 2, 3, 5, 8, 12, 17, 23, 30, 40) * 2:
+        weights = [rng.choice((-2, -2, -3, -3, -4, -1, -5, 1, 2)) for _ in range(n)]
+        docs.append({
+            "vertices": [{"id": i, "weight": w} for i, w in enumerate(weights)],
+            "edges": [{"a": a, "b": b, "sign": rng.choice((1, -1))}
+                      for a, b in random_tree_edges(rng, n)],
+        })
+    for leaves in range(4, 10):
+        centre = rng.choice((-1, -3, -5, 1, 3))
+        docs.append({
+            "vertices": [{"id": 0, "weight": centre}]
+                        + [{"id": i, "weight": -2} for i in range(1, leaves + 1)],
+            "edges": [{"a": 0, "b": i, "sign": rng.choice((1, -1))} for i in range(1, leaves + 1)],
+        })
+    return ([PlumbingGraph.from_dict(doc) for doc in docs]
+            + [dynkin_graph(DynkinLabel("D", 2)), dynkin_graph(DynkinLabel("E", 8))])
+
+
+def rendered(payload, md_renderer) -> str:
+    return json.dumps(cli.jsonable(payload), indent=2) + "\n" + md_renderer(payload) + "\n"
+
+
+def graph_outputs(build, md_renderer):
+    for k, g in enumerate(graph_corpus()):
+        try:
+            yield rendered(build(g, f"g{k}.json"), md_renderer)
+        except NotRationalHomologySphere as exc:
+            yield f"exit 3: {exc}\n"
+
+
+def outputs(group):
+    if group == "graph":
+        return graph_outputs(cli.graph_payload, cli.render_graph_md)
+    if group == "bockstein":
+        return graph_outputs(cli.bockstein_payload, cli.render_bockstein_md)
+    if group == "link":
+        return (rendered(cli.link_payload(label), cli.render_link_md) for label in LABELS)
+    if group == "table":
+        return [rendered(cli.table_payload(LABELS), cli.render_table_md)]
+    return (rendered(cli.smale_payload(label, imm), cli.render_smale_md)
+            for label in LABELS for imm in ("kinjo", "kinjo-reversed", "np", "pushforward"))
+
+
+def digest(group) -> str:
+    h = hashlib.sha256()
+    for text in outputs(group):
+        h.update(text.encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("group", sorted(DIGESTS))
+def test_golden_bytes(group):
+    assert digest(group) == DIGESTS[group]

@@ -21,6 +21,7 @@ from oracles import (
     random_symmetric,
     random_tree_edges,
     signature_by_root_count,
+    smith_normal_form_eager,
 )
 
 # Cartan matrices (negative-definite convention: -2 diagonal, +1 adjacency)
@@ -99,6 +100,58 @@ class TestSmithNormalForm:
         dec = check_decomposition(a)
         assert dec.diagonal[0] == 1
         assert dec.diagonal[1] == big * big
+
+
+class TestSmithAgainstEager:
+    """The logged elimination rebuilds exactly the U, S, V of the eager one."""
+
+    @staticmethod
+    def assert_matches(a: IntMatrix):
+        u, s, v = smith_normal_form_eager(a.to_rows(), a.cols)
+        dec = smith_normal_form(a)
+        assert dec.s.to_rows() == s
+        assert dec.u.to_rows() == u
+        assert dec.v.to_rows() == v
+        assert (dec.u.rows, dec.u.cols, dec.v.rows, dec.v.cols) == (a.rows, a.rows, a.cols, a.cols)
+
+    def test_shapes(self):
+        for r, c in [(0, 0), (0, 3), (3, 0), (1, 1), (2, 2), (4, 1), (1, 4)]:
+            self.assert_matches(IntMatrix.zero(r, c))
+        for e in (-7, -1, 0, 1, 12):
+            self.assert_matches(IntMatrix.from_rows([[e]]))
+
+    def test_random_square_and_rectangular(self):
+        rng = random.Random(6161)
+        for _ in range(200):
+            r, c = rng.randint(1, 7), rng.randint(1, 7)
+            self.assert_matches(IntMatrix.from_rows(random_matrix(rng, r, c, -9, 9)))
+
+    def test_random_singular(self):
+        rng = random.Random(6262)
+        for _ in range(60):
+            n, k = rng.randint(2, 7), rng.randint(1, 3)
+            left, right = random_matrix(rng, n, k), random_matrix(rng, k, n)
+            a = IntMatrix.from_rows(left) @ IntMatrix.from_rows(right)
+            self.assert_matches(a)
+            self.assert_matches(IntMatrix.from_rows(random_symmetric(rng, n, -1, 1)))
+
+    def test_mixed_weight_trees(self):
+        rng = random.Random(6363)
+        for n in (2, 5, 13, 30, 55, 80, 100):
+            rows = [[0] * n for _ in range(n)]
+            for v in range(n):
+                rows[v][v] = rng.choice((-2, -2, -3, -3, -4, -1, -5, 1, 2))
+            for v, p in random_tree_edges(rng, n):
+                rows[v][p] = rows[p][v] = rng.choice((1, -1))
+            self.assert_matches(IntMatrix.from_rows(rows))
+
+    def test_transforms_are_built_on_first_read(self):
+        dec = smith_normal_form(IntMatrix.from_rows(cartan_from_edges(8, E8_EDGES)))
+        assert dec.diagonal == (1,) * 8
+        assert "u" not in vars(dec) and "v" not in vars(dec)
+        assert dec.u is dec.u
+        assert "v" not in vars(dec)
+        assert dec.v is dec.v
 
 
 class TestCokernel:
