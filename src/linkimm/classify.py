@@ -13,6 +13,11 @@ contact gauge both Wu invariants vanish, leaving
 and since the Dynkin intersection forms are negative definite the two
 agree: the immersions are regularly homotopic for every type.
 
+``table_row`` computes H^2, sigma and alpha of a type's form once (one
+Smith form and one signature); ``classify_link_inclusion`` and
+``classify_kinjo_pushforward`` read both classes off that row and run no
+linear algebra of their own.
+
 Non-Dynkin plumbing graphs run through the same formulas; the result is
 the formal value of the invariant pair, with no geometric claim attached
 (the CLI labels such output "formal").
@@ -64,30 +69,26 @@ class TableRow:
     smale_type: int
 
 
-def classify_link_inclusion(label: DynkinLabel) -> RegularHomotopyClass:
-    """Invariants of the link's inclusion into the 5-sphere.
+def classify_link_inclusion(row: TableRow) -> RegularHomotopyClass:
+    """Invariants of the link's inclusion into the 5-sphere, from its table row.
 
     The Wu invariant vanishes in any almost contact parallelization; the
     Smale-type integer comes from the Milnor fiber as an embedded Seifert
-    surface, so all singularity corrections are zero.
+    surface, so all singularity corrections are zero and it is the row's
+    own smale type.
     """
-    g = dynkin_graph(label)
-    h2 = link_first_homology(g)
-    value = smale_type_invariant(filling_signature(g), h2.two_torsion_rank)
-    return RegularHomotopyClass(wu=CohClass.zero(h2), smale_type=value)
+    return RegularHomotopyClass(wu=CohClass.zero(row.h2), smale_type=row.smale_type)
 
 
-def classify_kinjo_pushforward(label: DynkinLabel) -> RegularHomotopyClass:
-    """Invariants of the Dynkin-diagram immersion pushed into R^5.
+def classify_kinjo_pushforward(row: TableRow) -> RegularHomotopyClass:
+    """Invariants of the Dynkin-diagram immersion pushed into R^5, from a table row.
 
     Same shape as the inclusion, with the filling signature replaced by
     -#V(G) (the plumbing bounds the immersed filling of Euler
     characteristic 1 + #V whose form is the negative-definite one).
     """
-    g = dynkin_graph(label)
-    h2 = link_first_homology(g)
-    value = smale_type_invariant(-g.vertex_count, h2.two_torsion_rank)
-    return RegularHomotopyClass(wu=CohClass.zero(h2), smale_type=value)
+    value = smale_type_invariant(-row.label.vertex_count, row.alpha)
+    return RegularHomotopyClass(wu=CohClass.zero(row.h2), smale_type=value)
 
 
 def are_regularly_homotopic(c1: RegularHomotopyClass, c2: RegularHomotopyClass) -> bool:

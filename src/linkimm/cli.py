@@ -146,9 +146,9 @@ def table_payload(labels) -> list:
 def link_payload(label: DynkinLabel) -> dict:
     record = singularity_record(label)
     g = dynkin_graph(label)
-    h2 = link_first_homology(g)
-    inclusion = classify_link_inclusion(label)
-    pushed = classify_kinjo_pushforward(label)
+    row = table_row(label)
+    inclusion = classify_link_inclusion(row)
+    pushed = classify_kinjo_pushforward(row)
     smale_cover = kinjo_smale(label)
     smale_cover_rev = kinjo_smale_reversed(label)
     np_value = np_smale_invariant(label)
@@ -158,9 +158,9 @@ def link_payload(label: DynkinLabel) -> dict:
         "group": {"name": record.group_name, "order": record.group_order},
         "vertices": g.vertex_count,
         "plumbing": {
-            "h2": group_payload(h2),
-            "signature": filling_signature(g),
-            "alpha": h2.two_torsion_rank,
+            "h2": group_payload(row.h2),
+            "signature": row.signature,
+            "alpha": row.alpha,
             "euler_characteristic": filling_euler_characteristic(g),
         },
         "link_inclusion": {

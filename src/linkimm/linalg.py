@@ -21,7 +21,8 @@ down; signature pivoting picks minimal fill, which keeps it linear on trees.
 
 Matrices built from outside input (``IntMatrix(...)``, ``from_rows``) have
 every entry checked to be an int; matrices the library computes itself
-(S, U, V, ``identity``, ``transpose``, ``@``) skip that check.
+(S, U, V, ``identity``, ``transpose``, ``@``, and the intersection form
+of an already checked plumbing graph) skip that check.
 """
 
 from __future__ import annotations
@@ -124,11 +125,8 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
-        return all(
-            self.entries[i * self.cols + j] == self.entries[j * self.cols + i]
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
+        n, e = self.cols, self.entries
+        return all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
 
     def __str__(self):
         if not self.entries:

@@ -206,17 +206,22 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
 
 
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
-    """Symmetric intersection form of X(G), in the graph's vertex order."""
+    """Symmetric intersection form of X(G), in the graph's vertex order.
+
+    The graph has already checked every weight and sign, so each is made
+    a plain int once here and the matrix skips the per-entry check.
+    """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     n = g.vertex_count
-    rows = [[0] * n for _ in range(n)]
+    entries = [0] * (n * n)
     for i, (_, w) in enumerate(g.vertices):
-        rows[i][i] = w
+        entries[i * n + i] = int(w)
     for a, b, s in g.edges:
         i, j = index[a], index[b]
-        rows[i][j] += s
-        rows[j][i] += s
-    return IntMatrix.from_rows(rows)
+        s = int(s)
+        entries[i * n + j] += s
+        entries[j * n + i] += s
+    return IntMatrix._trusted(n, n, tuple(entries))
 
 
 def filling_signature(g: PlumbingGraph) -> int:

@@ -283,10 +283,9 @@ def kinjo_smale(label) -> SmaleClassR4:
     R^5 value through the pushforward law and must come out 0, which is
     asserted rather than assumed.
     """
-    from .catalog import group_order, np_smale_invariant
-    from .plumbing import dynkin_graph
+    from .catalog import group_order, np_smale_invariant  # catalog imports this module
 
-    a = group_order(label) * (1 + dynkin_graph(label).vertex_count) - 1
+    a = group_order(label) * (1 + label.vertex_count) - 1
     published = np_smale_invariant(label).value
     twice_b = -published - a
     if twice_b % 2:

@@ -179,7 +179,8 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
     if len(x.bits) != n:
         raise NotACocycle(f"cochain length {len(x.bits)} does not match form size {n}")
     lift = x.bits
-    image = [sum(e * b for e, b in zip(a.row(i), lift)) for i in range(n)]
+    # A*lift for a 0/1 lift: each row's sum over the lift's support
+    image = [sum(itertools.compress(a.row(i), lift)) for i in range(n)]
     if any(v % 2 for v in image):
         raise NotACocycle(f"{x} is not in the mod-2 kernel")
     half = [v // 2 for v in image]

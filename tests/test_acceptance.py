@@ -121,8 +121,9 @@ def test_criterion_4_pushforward_consistency():
 def test_criterion_5_regular_homotopy_and_coincidence():
     ok = True
     for label in SWEEP_LABELS:
-        c1 = classify_link_inclusion(label)
-        c2 = classify_kinjo_pushforward(label)
+        row = table_row(label)
+        c1 = classify_link_inclusion(row)
+        c2 = classify_kinjo_pushforward(row)
         ok = ok and c1.wu == c2.wu and c1.smale_type == c2.smale_type
     by_class = {}
     for label in (

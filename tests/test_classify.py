@@ -45,24 +45,25 @@ def expected_table_entry(label):
 
 class TestClassification:
     def test_link_inclusion_examples(self):
-        assert classify_link_inclusion(DynkinLabel("E", 7)).smale_type == -12
-        assert classify_link_inclusion(DynkinLabel("A", 2)).smale_type == -3
-        assert classify_link_inclusion(DynkinLabel("D", 3)).smale_type == -9
-        assert classify_link_inclusion(DynkinLabel("E", 7)).wu.is_zero
+        assert classify_link_inclusion(table_row(DynkinLabel("E", 7))).smale_type == -12
+        assert classify_link_inclusion(table_row(DynkinLabel("A", 2))).smale_type == -3
+        assert classify_link_inclusion(table_row(DynkinLabel("D", 3))).smale_type == -9
+        assert classify_link_inclusion(table_row(DynkinLabel("E", 7))).wu.is_zero
 
     def test_pushforward_examples(self):
-        assert classify_kinjo_pushforward(DynkinLabel("E", 8)).smale_type == -12
-        assert classify_kinjo_pushforward(DynkinLabel("D", 2)).smale_type == -9
-        assert classify_kinjo_pushforward(DynkinLabel("A", 3)).smale_type == -3
+        assert classify_kinjo_pushforward(table_row(DynkinLabel("E", 8))).smale_type == -12
+        assert classify_kinjo_pushforward(table_row(DynkinLabel("D", 2))).smale_type == -9
+        assert classify_kinjo_pushforward(table_row(DynkinLabel("A", 3))).smale_type == -3
 
     def test_parallelization_tag(self):
-        cls = classify_link_inclusion(DynkinLabel("E", 6))
+        cls = classify_link_inclusion(table_row(DynkinLabel("E", 6)))
         assert cls.parallelization_tag == "almost-contact"
 
     def test_families_agree(self):
         for label in ALL_LABELS:
-            c1 = classify_link_inclusion(label)
-            c2 = classify_kinjo_pushforward(label)
+            row = table_row(label)
+            c1 = classify_link_inclusion(row)
+            c2 = classify_kinjo_pushforward(row)
             assert are_regularly_homotopic(c1, c2), label
 
 

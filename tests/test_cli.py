@@ -1,11 +1,13 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from linkimm import cli
 from linkimm.cli import jsonable, main, parse_label
 from linkimm.errors import InvalidParameter, NotRationalHomologySphere
+from linkimm.linalg import signature, smith_normal_form
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph
 
 from oracles import random_tree_edges
@@ -228,6 +230,35 @@ class TestBocksteinCommand:
         code, out, err = run(capsys, "bockstein", str(path))
         assert code == 3 and not out
         assert "free rank 1" in err
+
+
+def count_calls(monkeypatch, fn):
+    """Rebind ``fn`` in every linkimm module that holds it; returns the call list."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "linkimm" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
+
+
+class TestOneAnalysisPerForm:
+    """A Dynkin report runs one Smith form and one signature of its form."""
+
+    LABELS = (DynkinLabel("A", 2), DynkinLabel("D", 5), DynkinLabel("E", 8))
+
+    @pytest.mark.parametrize("label", LABELS, ids=str)
+    @pytest.mark.parametrize("build", [cli.link_payload, lambda label: cli.table_payload([label])],
+                             ids=["link", "table"])
+    def test_call_counts(self, monkeypatch, label, build):
+        snf = count_calls(monkeypatch, smith_normal_form)
+        sig = count_calls(monkeypatch, signature)
+        build(label)
+        assert (len(snf), len(sig)) == (1, 1)
 
 
 class TestSmale:

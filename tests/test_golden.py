@@ -3,8 +3,10 @@
 Each group renders its payloads exactly as ``linkimm`` prints them (JSON
 with indent 2, and markdown) and hashes the lot, so any byte drift in a
 report fails here before it reaches a user.  A degenerate form's exit-3
-message is hashed in place of its report.  The digests were recorded
-from the code before the Smith transforms became lazy; a deliberate
+message is hashed in place of its report.  The graph, bockstein and
+smale digests were recorded from the code before the Smith transforms
+became lazy, the link and table digests (over the longer label list)
+from the code before link reports shared one table row; a deliberate
 output change must update them in the same change.
 """
 
@@ -24,13 +26,20 @@ LABELS = (
     + [DynkinLabel("D", n) for n in range(2, 11)]
     + [DynkinLabel("E", k) for k in (6, 7, 8)]
 )
+# link and table reports read H^2 and the signature of the whole form, so
+# they also run on longer A and D diagrams (up to 39 and 42 vertices)
+FORM_LABELS = (
+    [DynkinLabel("A", n) for n in range(2, 41)]
+    + [DynkinLabel("D", n) for n in range(2, 41)]
+    + [DynkinLabel("E", k) for k in (6, 7, 8)]
+)
 
 DIGESTS = {
     "bockstein": "275b57678e0dc74dc00bb156bdd09b1a51673aa43280bf3d8a94bfb0a09edebc",
     "graph": "d99844d92319c5900fe9850e7ee8459515636347f026f3688a7dad06ce4ec4be",
-    "link": "516044c688736be9b89b51b822c2896548e2e9fe300456414f9ea941edbc79fe",
+    "link": "13a1bc228e4b52c62e3b69db33a3874f507238d1b3d2e6b11fbf41c742b1f33c",
     "smale": "b8f815aa2d2251af97a4b5c2e22ef5a582b00e85469afd35be8c31efba1e3529",
-    "table": "e30b4e739d16f0385c2a5d5b5cbd0a39d491f7461e66b29880619698da42d4a9",
+    "table": "84a79b57c1a510ca81dd6de86c2fa4f5836bf7e36f49328fad4fc49055ae3265",
 }
 
 
@@ -74,9 +83,9 @@ def outputs(group):
     if group == "bockstein":
         return graph_outputs(cli.bockstein_payload, cli.render_bockstein_md)
     if group == "link":
-        return (rendered(cli.link_payload(label), cli.render_link_md) for label in LABELS)
+        return (rendered(cli.link_payload(label), cli.render_link_md) for label in FORM_LABELS)
     if group == "table":
-        return [rendered(cli.table_payload(LABELS), cli.render_table_md)]
+        return [rendered(cli.table_payload(FORM_LABELS), cli.render_table_md)]
     return (rendered(cli.smale_payload(label, imm), cli.render_smale_md)
             for label in LABELS for imm in ("kinjo", "kinjo-reversed", "np", "pushforward"))
 

@@ -391,3 +391,24 @@ def test_determinant_matches_cofactor_expansion():
         n = rng.randint(0, 5)
         rows = random_matrix(rng, n, n)
         assert determinant(IntMatrix.from_rows(rows) if n else IntMatrix.zero(0, 0)) == cofactor_det(rows)
+
+
+def test_is_symmetric_matches_entry_pairs():
+    rng = random.Random(31)
+
+    def pairwise(rows):
+        n = len(rows)
+        return all(len(r) == n for r in rows) and all(
+            rows[i][j] == rows[j][i] for i in range(n) for j in range(i + 1, n))
+
+    cases = [IntMatrix.zero(0, 0), IntMatrix.zero(2, 3)]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        rows = random_symmetric(rng, n, -2, 2)
+        if n > 1 and rng.random() < 0.5:
+            i, j = rng.sample(range(n), 2)
+            rows[i][j] += rng.choice((-1, 1))  # one broken pair
+        cases.append(IntMatrix.from_rows(rows))
+        cases.append(IntMatrix.from_rows(random_matrix(rng, n, rng.randint(1, 7), -1, 1)))
+    for a in cases:
+        assert a.is_symmetric() == pairwise(a.to_rows()), a

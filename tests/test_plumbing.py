@@ -158,6 +158,24 @@ class TestIntersectionMatrix:
             g = PlumbingGraph.build(vertices, edges)
             assert intersection_matrix(g).is_symmetric()
 
+    def test_entries_are_exact_ints(self):
+        rng = random.Random(77)
+        graphs = [dynkin_graph(label) for label in ALL_TABLE_LABELS]
+        for _ in range(10):
+            vertices, edges = random_negative_definite_tree(rng)
+            built = PlumbingGraph.build(vertices, edges)
+            graphs += [built, PlumbingGraph.from_dict(built.to_dict())]
+        for g in graphs:
+            assert all(type(e) is int for e in intersection_matrix(g).entries)
+
+    def test_checked_non_int_inputs_become_ints(self):
+        # bool is an int subclass and 1.0 == 1, so the graph accepts both
+        a = intersection_matrix(PlumbingGraph(((0, True),)))
+        assert a.entries == (1,) and type(a.entries[0]) is int
+        a = intersection_matrix(PlumbingGraph(((0, -2), (1, -3)), ((0, 1, 1.0),)))
+        assert a.to_rows() == [[-2, 1], [1, -3]]
+        assert all(type(e) is int for e in a.entries)
+
 
 class TestFillingInvariants:
     def test_signature_examples(self):
