@@ -26,9 +26,8 @@ the formal value of the invariant pair, with no geometric claim attached
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import IncomparableManifolds, NotTwoTorsion
+from .errors import HalfIntegerResult, IncomparableManifolds, NotTwoTorsion
 from .linalg import FinAbGroup
 from .plumbing import DynkinLabel, dynkin_graph, filling_signature, link_first_homology
 from .smale import smale_type_invariant
@@ -127,7 +126,7 @@ def formal_smale_type(sigma: int, alpha: int):
     embedded Seifert data; the exact rational is reported with a flag
     instead of raising, since the non-integrality is itself the diagnosis.
     """
-    num = 3 * (sigma - alpha)
-    if num % 2:
-        return Fraction(num, 2), False
-    return num // 2, True
+    try:
+        return smale_type_invariant(sigma, alpha), True
+    except HalfIntegerResult as exc:
+        return exc.value, False

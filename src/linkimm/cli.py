@@ -29,6 +29,7 @@ from fractions import Fraction
 
 from .catalog import np_smale_invariant, singularity_record
 from .classify import (
+    RegularHomotopyClass,
     are_regularly_homotopic,
     classify_kinjo_pushforward,
     classify_link_inclusion,
@@ -127,6 +128,11 @@ def smale4_payload(s) -> dict:
     return {"a": s.a, "b": s.b}
 
 
+def class_payload(c: RegularHomotopyClass) -> dict:
+    return {"wu": list(c.wu.coords), "parallelization": c.parallelization_tag,
+            "smale_type": c.smale_type}
+
+
 def table_payload(labels) -> list:
     rows = []
     for label in labels:
@@ -163,16 +169,8 @@ def link_payload(label: DynkinLabel) -> dict:
             "alpha": row.alpha,
             "euler_characteristic": filling_euler_characteristic(g),
         },
-        "link_inclusion": {
-            "wu": list(inclusion.wu.coords),
-            "parallelization": inclusion.parallelization_tag,
-            "smale_type": inclusion.smale_type,
-        },
-        "kinjo_pushforward": {
-            "wu": list(pushed.wu.coords),
-            "parallelization": pushed.parallelization_tag,
-            "smale_type": pushed.smale_type,
-        },
+        "link_inclusion": class_payload(inclusion),
+        "kinjo_pushforward": class_payload(pushed),
         "regularly_homotopic": are_regularly_homotopic(inclusion, pushed),
         "smale_r4": {
             "kinjo": smale4_payload(smale_cover),
@@ -225,12 +223,8 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
         "euler_characteristic": filling_euler_characteristic(g),
         "gamma2_zero": torsion_square,
         "bockstein": bock_table,
-        "class": {
-            "wu": [0] * len(h2.invariant_factors),
-            "parallelization": "almost-contact",
-            "smale_type": value,
-            "integral": integral,
-        },
+        "class": class_payload(RegularHomotopyClass(CohClass.zero(h2), value))
+                 | {"integral": integral},
     }
     if not integral:
         payload["class"]["warning"] = "sigma - alpha is odd: no embedded Seifert data exists"
@@ -467,7 +461,9 @@ def _load_graph(path: str) -> PlumbingGraph:
             doc = json.load(fh)
     except OSError as exc:
         raise InvalidGraph(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a file that is not UTF-8 and an integer literal
+        # past the int-string limit are ValueErrors; deep nesting recurses
         raise InvalidGraph(f"{path} is not valid JSON: {exc}") from exc
     return PlumbingGraph.from_dict(doc)
 

@@ -48,10 +48,12 @@ class NotTwoTorsion(LinkImmError, ValueError):
 
 
 class NoPreimageFound(LinkImmError):
-    """Exhaustive search found no mod-2 preimage for a 2-torsion class.
+    """A 2-torsion class has no mod-2 preimage under the Bockstein.
 
-    Unreachable for nondegenerate forms; signals input outside the
-    supported hypotheses rather than being silently accepted.
+    Raised for a target outside coker A, or when the Bockstein of the
+    solved preimage misses the target.  Unreachable for nondegenerate
+    forms; signals input outside the supported hypotheses rather than
+    being silently accepted.
     """
 
 

@@ -19,10 +19,10 @@ tolerance anywhere.  The three workhorses are:
 Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
 
-Matrices built from outside input (``IntMatrix(...)``, ``from_rows``) have
-every entry checked to be an int; matrices the library computes itself
-(S, U, V, ``identity``, ``transpose``, ``@``, and the intersection form
-of an already checked plumbing graph) skip that check.
+Matrices built from outside input (``IntMatrix(...)``, ``from_rows``,
+``diagonal``) have every entry checked to be an int; matrices the library
+computes itself (S, U, V, ``identity``, ``transpose``, ``@``, and the
+intersection form of an already checked plumbing graph) skip that check.
 """
 
 from __future__ import annotations
@@ -35,6 +35,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NotSymmetric
+
+
+def _plain_ints(values) -> tuple:
+    """Outside entries as plain ints (bools become 0/1); ValueError on any other type."""
+    values = tuple(values)
+    for e in values:
+        if not isinstance(e, int):
+            raise ValueError(f"non-integer entry {e!r}")
+    return tuple(map(int, values))
 
 
 @dataclass(frozen=True)
@@ -70,7 +79,7 @@ class IntMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(nr, nc, tuple(int(x) for r in rows for x in r))
+        return IntMatrix._trusted(nr, nc, _plain_ints(x for r in rows for x in r))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -82,9 +91,9 @@ class IntMatrix:
 
     @staticmethod
     def diagonal(values) -> "IntMatrix":
-        values = [int(v) for v in values]
+        values = _plain_ints(values)
         n = len(values)
-        return IntMatrix(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix._trusted(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
 
     def __getitem__(self, ij) -> int:
         i, j = ij

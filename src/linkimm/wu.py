@@ -15,10 +15,8 @@ condition), and read the class of the result in coker(A) through a Smith
 decomposition of A that the caller computes once and passes in.  Changing
 a parallelization shifts the Wu invariant by the Bockstein of the
 difference class (``wu_switch``), and ``realize_parallelization`` inverts
-that shift by exhausting the (2^alpha-element) mod-2 kernel.  It runs one
-Smith decomposition and one Bockstein per basis vector; since the
-Bockstein is additive, each further candidate costs a group addition, not
-a Bockstein.
+that shift by reading the preimage off the transform V of one Smith
+decomposition, checked by one Bockstein.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from .errors import (
     NotSymmetric,
     NotTwoTorsion,
 )
-from .linalg import FinAbGroup, IntMatrix, SmithDecomposition, kernel_mod2, smith_normal_form
+from .linalg import FinAbGroup, IntMatrix, SmithDecomposition, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -199,27 +197,26 @@ def wu_switch(c0: CohClass, a: IntMatrix, d: Z2Class) -> CohClass:
 
 
 def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
-    """A difference class whose Bockstein hits the given 2-torsion target.
+    """The difference class whose Bockstein is the given 2-torsion target.
 
-    Searches the span of the mod-2 kernel (dimension alpha, so at most
-    2^alpha candidates) in ``itertools.product`` order and returns the
-    first hit.  Every 2-torsion class of a nondegenerate form is hit;
-    NoPreimageFound therefore signals input outside those hypotheses
-    (a target from another group, say) rather than a search limitation.
+    With U*A*V = S, the target's coordinate on the factor d = S[i, i] is
+    0 or d/2.  Setting z_i = 1 where it is d/2 (and 0 elsewhere), y = V*z
+    solves A*y = 2*U^-1*c, so y mod 2 -- the mod-2 sum of those columns of
+    V -- is a cocycle whose Bockstein is the target.  The Bockstein of a
+    rational homology sphere is injective, so that is the only preimage.
+    NoPreimageFound signals input outside those hypotheses (a target from
+    another group, say), or a closing Bockstein that misses the target.
     """
     if not target.is_two_torsion:
         raise NotTwoTorsion(f"target {target} does not satisfy 2C = 0")
-    basis = kernel_mod2(a)
     smith = smith_normal_form(a)
-    zero = CohClass.zero(_form_group(a, smith))
-    # beta is additive, so a candidate's image is the sum of its basis images
-    images = [bockstein(a, smith, Z2Class(vec)) for vec in basis]
-    n = a.rows
-    for picks in itertools.product((0, 1), repeat=len(basis)):
-        candidate, image = Z2Class.zero(n), zero
-        for take, vec, cls in zip(picks, basis, images):
-            if take:
-                candidate, image = candidate + Z2Class(vec), image + cls
-        if image == target:
-            return candidate
-    raise NoPreimageFound(f"no mod-2 class maps to {target}")
+    if target.parent != _form_group(a, smith):
+        raise NoPreimageFound(f"{target} is not a class of coker A")
+    # the group's coordinates sit at the diagonal positions with d > 1
+    factor_positions = (i for i, d in enumerate(smith.diagonal) if d > 1)
+    picked = [i for i, c in zip(factor_positions, target.coords) if c]
+    v = smith.v
+    x = Z2Class(tuple(sum(v.row(r)[i] for i in picked) for r in range(v.rows)))
+    if bockstein(a, smith, x) != target:
+        raise NoPreimageFound(f"no mod-2 class maps to {target}")
+    return x

@@ -1,6 +1,5 @@
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -144,6 +143,18 @@ class TestGraph:
         path.write_text("not json at all")
         assert run(capsys, "graph", str(path))[0] == 2
 
+    @pytest.mark.parametrize("content", [
+        b'{"vertices": [{"id": 0, "weight": "\xff"}]}',  # not UTF-8
+        b'{"vertices": [{"id": 0, "weight": ' + b"7" * 5000 + b"}]}",  # past the int-string limit
+        b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+    ], ids=["not-utf8", "huge-int-literal", "deep-nesting"])
+    def test_undecodable_file_exits_2(self, capsys, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "graph", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert run(capsys, "graph", str(tmp_path / "absent.json"))[0] == 2
 
@@ -232,20 +243,6 @@ class TestBocksteinCommand:
         assert "free rank 1" in err
 
 
-def count_calls(monkeypatch, fn):
-    """Rebind ``fn`` in every linkimm module that holds it; returns the call list."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "linkimm" and getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, counted)
-    return calls
-
-
 class TestOneAnalysisPerForm:
     """A Dynkin report runs one Smith form and one signature of its form."""
 
@@ -254,9 +251,9 @@ class TestOneAnalysisPerForm:
     @pytest.mark.parametrize("label", LABELS, ids=str)
     @pytest.mark.parametrize("build", [cli.link_payload, lambda label: cli.table_payload([label])],
                              ids=["link", "table"])
-    def test_call_counts(self, monkeypatch, label, build):
-        snf = count_calls(monkeypatch, smith_normal_form)
-        sig = count_calls(monkeypatch, signature)
+    def test_call_counts(self, count_calls, label, build):
+        snf = count_calls(smith_normal_form)
+        sig = count_calls(signature)
         build(label)
         assert (len(snf), len(sig)) == (1, 1)
 

@@ -66,6 +66,25 @@ def check_decomposition(a: IntMatrix):
     return dec
 
 
+class TestIntMatrixInput:
+    @pytest.mark.parametrize("entry", [2.9, 2.0, "3", Fraction(3), Fraction(7, 2), None], ids=repr)
+    def test_constructors_reject_non_int_entries(self, entry):
+        with pytest.raises(ValueError, match="non-integer entry"):
+            IntMatrix.from_rows([[1, entry], [entry, 4]])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            IntMatrix.diagonal([1, entry])
+        with pytest.raises(ValueError, match="non-integer entry"):
+            IntMatrix(1, 1, (entry,))
+
+    def test_ints_and_bools_become_plain_ints(self):
+        m = IntMatrix.from_rows([[True, -2], [3, False]])
+        assert m.entries == (1, -2, 3, 0)
+        assert all(type(e) is int for e in m.entries)
+        d = IntMatrix.diagonal([True, 5])
+        assert d.entries == (1, 0, 0, 5)
+        assert all(type(e) is int for e in d.entries)
+
+
 class TestSmithNormalForm:
     def test_single_negative_entry(self):
         dec = check_decomposition(IntMatrix.from_rows([[-2]]))

@@ -233,7 +233,7 @@ class TestRealizeParallelization:
 
     def test_no_preimage_for_foreign_target(self):
         # coker of this form is Z_3: a 2-torsion target from a different
-        # group exhausts the (trivial) kernel span and must be reported
+        # group has no preimage and must be reported, not solved for
         a = IntMatrix.from_rows([[-2, 1], [1, -2]])
         foreign = CohClass(FinAbGroup(0, (2,)), (1,))
         with pytest.raises(NoPreimageFound):
@@ -244,6 +244,21 @@ class TestRealizeParallelization:
         a = IntMatrix.from_rows([[1, 1], [0, 1]])
         with pytest.raises(NotSymmetric):
             realize_parallelization(a, CohClass.zero(FinAbGroup(0, ())))
+
+    def test_alpha_15_star_is_one_solve(self, count_calls):
+        # centre -1 with 16 leaves of -2: H^2 = Z_2^14 + Z_28, alpha = 15
+        g = PlumbingGraph.build([(0, -1)] + [(v, -2) for v in range(1, 17)],
+                                [(0, v, 1) for v in range(1, 17)])
+        a = intersection_matrix(g)
+        h = cokernel(a)
+        assert h.two_torsion_rank == 15
+        target = CohClass(h, tuple(d // 2 if k % 3 else 0 for k, d in enumerate(h.invariant_factors)))
+        snf, kernel, beta = (count_calls(fn) for fn in (smith_normal_form, kernel_mod2, bockstein))
+        x = realize_parallelization(a, target)
+        assert (len(snf), len(kernel), len(beta)) == (1, 0, 1)
+        assert not x.is_zero
+        assert all(sum(itertools.compress(a.row(i), x.bits)) % 2 == 0 for i in range(a.rows))
+        assert bockstein(a, smith_normal_form(a), x) == target
 
     @staticmethod
     def first_preimages(a):
