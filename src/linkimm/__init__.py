@@ -7,7 +7,7 @@ sphere immersions into 4- and 5-space, and all the homological data of
 plumbing graphs these are built from.  See the README for the CLI.
 """
 
-from .catalog import SingularityRecord, group_order, np_smale_invariant, singularity_record
+from .catalog import SingularityRecord, group_order, singularity_record
 from .classify import (
     RegularHomotopyClass,
     TableRow,
@@ -64,6 +64,7 @@ from .smale import (
     ekholm_takase_smale,
     kinjo_smale,
     kinjo_smale_reversed,
+    np_smale_invariant,
     pushforward_j,
     reverse_orientation,
     rho_map,

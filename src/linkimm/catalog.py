@@ -3,7 +3,8 @@
 Each type carries its defining germ, the finite subgroup of SU(2) whose
 quotient realizes it (the covering degree of S^3 over the link), and the
 published Smale invariant of the immersion S^3 -> S^5 induced by the
-invariant-polynomial parametrization of the germ.  The last column is a
+invariant-polynomial parametrization of the germ, as a plain integer
+(``smale.np_smale_invariant`` wraps it as a class).  The last column is a
 catalog constant: counting singularities of holomorphic perturbations is
 out of scope here, so the family formulas are stored, not recomputed.
 """
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .plumbing import DynkinLabel
-from .smale import SmaleClassR5
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,3 @@ def singularity_record(label: DynkinLabel) -> SingularityRecord:
 def group_order(label: DynkinLabel) -> int:
     """Order of the SU(2) subgroup: n, 4n, 24, 48, 120 by family."""
     return singularity_record(label).group_order
-
-
-def np_smale_invariant(label: DynkinLabel) -> SmaleClassR5:
-    """Published Smale invariant of the parametrization immersion S^3 -> S^5."""
-    return SmaleClassR5(singularity_record(label).np_smale)

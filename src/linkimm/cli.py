@@ -17,7 +17,9 @@ diagram name is echoed in every report.
 Every subcommand takes ``--format {json,md}`` (default md).  JSON output
 round-trips exactly: integers beyond the 53-bit safe range are emitted as
 decimal strings, exact rationals as "p/q" strings.  Exit codes: 0 success,
-2 usage or parse error, 3 mathematical rejection (degenerate form).
+2 usage or parse error (also a graph whose alpha exceeds ``MAX_ALPHA``,
+since Gamma_2(0) has 2^alpha classes), 3 mathematical rejection
+(degenerate form).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import np_smale_invariant, singularity_record
+from .catalog import singularity_record
 from .classify import (
     RegularHomotopyClass,
     are_regularly_homotopic,
@@ -48,8 +50,8 @@ from .plumbing import (
     link_first_homology,
     recognize_dynkin,
 )
-from .smale import kinjo_smale, kinjo_smale_reversed, pushforward_j
-from .wu import CohClass, Z2Class, bockstein, gamma2
+from .smale import kinjo_smale, kinjo_smale_reversed, np_smale_invariant, pushforward_j
+from .wu import CohClass, Z2Class, bockstein, form_group, gamma2
 
 TABLE_LABELS = (
     [DynkinLabel("A", n) for n in range(2, 10)]
@@ -58,6 +60,9 @@ TABLE_LABELS = (
 )
 
 JSON_SAFE_MAX = 2 ** 53 - 1
+
+# Gamma_2(0) lists 2^alpha classes; alpha = 16 already prints about 10 MB.
+MAX_ALPHA = 16
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +190,14 @@ def link_payload(label: DynkinLabel) -> dict:
 
 
 def _cohomology_rows(a, h2, dec) -> tuple:
-    """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows."""
+    """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows.
+
+    Raises InvalidGraph when alpha exceeds MAX_ALPHA, before any listing.
+    """
+    alpha = h2.two_torsion_rank
+    if alpha > MAX_ALPHA:
+        raise InvalidGraph(f"alpha = {alpha} exceeds the limit {MAX_ALPHA}: "
+                           f"Gamma_2(0) would list 2^{alpha} classes")
     basis = kernel_mod2(a)
     return (
         [list(v) for v in basis],
@@ -234,8 +246,9 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
 def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
     """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
     a = intersection_matrix(g)
-    h2 = link_first_homology(g)  # raises NotRationalHomologySphere when det = 0
-    basis, torsion_square, bock_table = _cohomology_rows(a, h2, smith_normal_form(a))
+    dec = smith_normal_form(a)
+    h2 = form_group(a, dec)  # raises NotRationalHomologySphere when det = 0
+    basis, torsion_square, bock_table = _cohomology_rows(a, h2, dec)
     label = recognize_dynkin(g)
     return {
         "source": source,

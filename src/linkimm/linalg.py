@@ -9,10 +9,12 @@ tolerance anywhere.  The three workhorses are:
   cokernel Z^rows / A*Z^cols of any integer matrix.  The elimination
   runs on A alone and logs its steps; U and V are built from the logs
   on first read, so a caller that needs only the diagonal (``cokernel``)
-  never builds them.
+  never builds them.  The decomposition is the one place that reads
+  coker A off the diagonal: its ``factors`` and ``group``.
 * ``signature`` -- the signature of a symmetric form by exact rational
-  congruence (Schur-complement) elimination on sparse rows, with the
-  usual hyperbolic 2x2 step when the remaining diagonal vanishes.
+  congruence (Schur-complement) elimination on sparse rows, one 1x1
+  pivot at a time; a vanishing remaining diagonal is first made nonzero
+  by the congruence e_i -> e_i + e_j.
 * ``kernel_mod2`` -- a basis of the mod-2 kernel by Gaussian elimination
   over GF(2), with rows stored as Python-int bitmasks.
 
@@ -20,9 +22,10 @@ Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
 
 Matrices built from outside input (``IntMatrix(...)``, ``from_rows``,
-``diagonal``) have every entry checked to be an int; matrices the library
-computes itself (S, U, V, ``identity``, ``transpose``, ``@``, and the
-intersection form of an already checked plumbing graph) skip that check.
+``diagonal``) have every entry checked to be an int by the constructor;
+matrices the library computes itself (S, U, V, ``identity``, ``@``, and
+the intersection form of an already checked plumbing graph) skip that
+check.
 """
 
 from __future__ import annotations
@@ -37,33 +40,28 @@ from fractions import Fraction
 from .errors import NotSymmetric
 
 
-def _plain_ints(values) -> tuple:
-    """Outside entries as plain ints (bools become 0/1); ValueError on any other type."""
-    values = tuple(values)
-    for e in values:
-        if not isinstance(e, int):
-            raise ValueError(f"non-integer entry {e!r}")
-    return tuple(map(int, values))
-
-
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, row-major, arbitrary-precision entries."""
+    """Immutable integer matrix, row-major, arbitrary-precision entries.
+
+    The constructor stores the entries as a tuple of plain ints (bools
+    become 0/1) and raises ValueError on an entry of any other type.
+    """
 
     rows: int
     cols: int
     entries: tuple
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
+        entries = tuple(self.entries)
+        for e in entries:
             if not isinstance(e, int):
                 raise ValueError(f"non-integer entry {e!r}")
+        object.__setattr__(self, "entries", tuple(map(int, entries)))
+        if self.rows < 0 or self.cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        if len(entries) != self.rows * self.cols:
+            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(entries)}")
 
     @classmethod
     def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
@@ -79,7 +77,7 @@ class IntMatrix:
         nc = len(rows[0]) if rows else 0
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
-        return IntMatrix._trusted(nr, nc, _plain_ints(x for r in rows for x in r))
+        return IntMatrix(nr, nc, [x for r in rows for x in r])
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -91,9 +89,9 @@ class IntMatrix:
 
     @staticmethod
     def diagonal(values) -> "IntMatrix":
-        values = _plain_ints(values)
+        values = tuple(values)
         n = len(values)
-        return IntMatrix._trusted(n, n, tuple(values[i] if i == j else 0 for i in range(n) for j in range(n)))
+        return IntMatrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
 
     def __getitem__(self, ij) -> int:
         i, j = ij
@@ -109,13 +107,6 @@ class IntMatrix:
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix._trusted(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -155,8 +146,11 @@ class SmithDecomposition:
     steps.  U is built on the first read of ``u``, by replaying the row
     log on an identity matrix; V likewise on the first read of ``v``, from
     the column log replayed as row steps on V^T.  A caller that reads only
-    ``s`` or ``diagonal`` never pays for the transforms, whose entries can
-    run to hundreds of bits.
+    ``s``, ``diagonal``, ``factors`` or ``group`` never pays for the
+    transforms, whose entries can run to hundreds of bits.
+
+    ``factors`` and ``group`` are the one reading of coker A off S; the
+    coordinate of the factor at position i is read through row i of U.
     """
 
     s: IntMatrix
@@ -179,6 +173,17 @@ class SmithDecomposition:
     def diagonal(self) -> tuple:
         k = min(self.s.rows, self.s.cols)
         return tuple(self.s[i, i] for i in range(k))
+
+    @functools.cached_property
+    def factors(self) -> tuple:
+        """(i, d) for each diagonal position i with d = S[i, i] > 1, in order."""
+        return tuple((i, d) for i, d in enumerate(self.diagonal) if d > 1)
+
+    @functools.cached_property
+    def group(self) -> "FinAbGroup":
+        """coker A: one Z/d per factor and one free Z per zero or missing pivot."""
+        pivots = sum(1 for d in self.diagonal if d)
+        return FinAbGroup(self.s.rows - pivots, tuple(d for _, d in self.factors))
 
 
 @dataclass(frozen=True)
@@ -204,10 +209,6 @@ class FinAbGroup:
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.invariant_factors
 
     def order(self) -> int:
         """Order of the group; only defined when the free rank is zero."""
@@ -406,13 +407,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
 
 def cokernel(a: IntMatrix) -> FinAbGroup:
-    """Structure of Z^rows / A*Z^cols read off the Smith normal form."""
-    diag = smith_normal_form(a).diagonal
-    rank = sum(1 for d in diag if d)
-    return FinAbGroup(
-        free_rank=a.rows - rank,
-        invariant_factors=tuple(d for d in diag if d > 1),
-    )
+    """Structure of Z^rows / A*Z^cols, the group of its Smith decomposition."""
+    return smith_normal_form(a).group
 
 
 def determinant(a: IntMatrix) -> int:
@@ -448,9 +444,9 @@ def signature(a: IntMatrix) -> int:
     """Signature of a symmetric integer matrix, by exact congruence.
 
     Repeatedly splits off a 1x1 block at a nonzero diagonal pivot (Schur
-    complement over Q), falling back to a hyperbolic 2x2 block -- which
-    contributes one positive and one negative eigenvalue -- whenever the
-    remaining diagonal is identically zero.  Zero eigenvalues contribute
+    complement over Q).  Whenever the remaining diagonal is identically
+    zero, the congruence e_i -> e_i + e_j at an entry A[i][j] != 0 gives
+    row i the diagonal 2*A[i][j] first.  Zero eigenvalues contribute
     nothing, so singular forms are fine.  Raises NotSymmetric otherwise.
 
     Each row is stored as a dict of its nonzero entries, so a pivot's fill
@@ -502,29 +498,24 @@ def signature(a: IntMatrix) -> int:
                 if r in row:
                     heapq.heappush(heap, (len(row) - 1, r))
             continue
-        # Whole remaining diagonal is zero: look for a hyperbolic pair.
-        pair = next(((i, j) for i, row in rows.items() for j in row if j != i), None)
+        # Whole remaining diagonal is zero: for some A[i][j] != 0 the
+        # congruence e_i -> e_i + e_j makes A[i][i] = 2*A[i][j] != 0, and
+        # the 1x1 step above takes row i next.
+        pair = next(((i, j) for i, row in rows.items() for j in row), None)
         if pair is None:
             break  # remaining block is zero
         i, j = pair
-        pos += 1
-        neg += 1
-        irow, jrow = rows.pop(i), rows.pop(j)
-        d = irow.pop(j)
-        del jrow[i]
-        touched = irow.keys() | jrow.keys()
-        for r in touched:
-            row = rows[r]
-            fi = row.pop(i, 0) / d
-            fj = row.pop(j, 0) / d
-            for c in touched:
-                v = row.get(c, 0) - fi * jrow.get(c, 0) - fj * irow.get(c, 0)
+        irow = rows[i]
+        for c, x in rows[j].items():
+            if c != i:
+                v = irow.get(c, 0) + x
                 if v:
-                    row[c] = v
+                    irow[c] = rows[c][i] = v
                 else:
-                    row.pop(c, None)
-            if r in row:
-                heapq.heappush(heap, (len(row) - 1, r))
+                    irow.pop(c, None)
+                    rows[c].pop(i, None)
+        irow[i] = 2 * irow[j]
+        heapq.heappush(heap, (len(irow) - 1, i))
     return pos - neg
 
 

@@ -124,17 +124,15 @@ class PlumbingGraph:
 
     @staticmethod
     def build(vertices, edges=()) -> "PlumbingGraph":
-        """Construct from iterables of (id, weight) and (a, b[, sign])."""
-        vs = tuple((int(v), int(w)) for v, w in vertices)
-        es = []
-        for e in edges:
-            if len(e) == 2:
-                a, b = e
-                s = 1
-            else:
-                a, b, s = e
-            es.append((int(a), int(b), int(s)))
-        return PlumbingGraph(vs, tuple(es))
+        """Construct from iterables of (id, weight) and (a, b[, sign]).
+
+        Values pass through unchanged, so the constructor's checks apply:
+        InvalidGraph on an id or weight that is not an int, or a sign that
+        is not +1 or -1.
+        """
+        vs = tuple((v, w) for v, w in vertices)
+        es = tuple((*e, 1) if len(e) == 2 else tuple(e) for e in edges)
+        return PlumbingGraph(vs, es)
 
     @staticmethod
     def from_dict(data) -> "PlumbingGraph":

@@ -17,6 +17,8 @@ The closed-form invariants:
 * ``ekholm_szucs_smale`` does the same for R^5 targets;
 * ``smale_type_invariant`` is the integer half of the complete invariant
   for immersed 3-manifolds with trivial normal bundle;
+* ``np_smale_invariant`` is the published R^5 class of a simple
+  singularity's parametrization immersion, from the catalog;
 * ``kinjo_smale`` / ``kinjo_smale_reversed`` evaluate the classes of the
   Dynkin-diagram immersions pulled back to S^3, deriving the sigma
   component from the covering degree times the filling Euler
@@ -29,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .catalog import group_order, singularity_record
 from .errors import (
     ConsistencyViolation,
     HalfIntegerResult,
@@ -261,18 +264,22 @@ def ekholm_szucs_smale(filling_signature: int, triple_points: int = 0,
     return SmaleClassR5(num // 2)
 
 
-def smale_type_invariant(filling_signature: int, torsion_alpha: int, triple_points: int = 0,
-                         locus_euler: int = 0, linking_term: int = 0) -> int:
+def smale_type_invariant(filling_signature: int, torsion_alpha: int) -> int:
     """Integer component of the complete invariant for M^3 -> R^5.
 
-    i = (3/2)*(sigma - alpha) + (1/2)*(3t - 3l + L_nu); with an embedded
-    Seifert surface the three correction counts vanish.  Raises
+    i = (3/2)*(sigma - alpha) for an embedded Seifert surface, where the
+    singular corrections of ``ekholm_szucs_smale`` vanish.  Raises
     HalfIntegerResult (carrying the exact rational) on odd parity.
     """
-    num = 3 * (filling_signature - torsion_alpha) + 3 * triple_points - 3 * locus_euler + linking_term
+    num = 3 * (filling_signature - torsion_alpha)
     if num % 2:
         raise HalfIntegerResult(Fraction(num, 2))
     return num // 2
+
+
+def np_smale_invariant(label) -> SmaleClassR5:
+    """Published Smale invariant of the parametrization immersion S^3 -> S^5."""
+    return SmaleClassR5(singularity_record(label).np_smale)
 
 
 def kinjo_smale(label) -> SmaleClassR4:
@@ -283,8 +290,6 @@ def kinjo_smale(label) -> SmaleClassR4:
     R^5 value through the pushforward law and must come out 0, which is
     asserted rather than assumed.
     """
-    from .catalog import group_order, np_smale_invariant  # catalog imports this module
-
     a = group_order(label) * (1 + label.vertex_count) - 1
     published = np_smale_invariant(label).value
     twice_b = -published - a

@@ -6,7 +6,11 @@ form A is modeled on the two-term complex Z^n --A--> Z^n:
     H^2(M; Z)   = coker(A), in invariant-factor coordinates,
     H^1(M; Z_2) = ker(A mod 2), as 0/1 cochain vectors.
 
-Degenerate forms (det A = 0) are rejected rather than partially supported.
+H^2 and the coordinates of its classes come from one Smith decomposition
+U*A*V = S: ``form_group`` takes the group (``SmithDecomposition.group``)
+and rejects degenerate forms (det A = 0) rather than supporting them
+partially, and each coordinate belongs to one of the diagonal positions
+in ``SmithDecomposition.factors``.
 
 ``gamma2`` solves 2C = chi factor by factor.  ``bockstein`` is the
 connecting map of 0 -> Z -> Z -> Z_2 -> 0 computed on cochains: lift a
@@ -148,20 +152,18 @@ def gamma2(group: FinAbGroup, chi: CohClass) -> list:
     return [CohClass(group, combo) for combo in itertools.product(*per_factor)]
 
 
-def _form_group(a: IntMatrix, smith: SmithDecomposition) -> FinAbGroup:
-    """coker(A) read off the given Smith decomposition of A.
+def form_group(a: IntMatrix, smith: SmithDecomposition) -> FinAbGroup:
+    """H^2 = coker(A), the group of the given Smith decomposition of A.
 
     Raises NotSymmetric unless A is a symmetric form, and
-    NotRationalHomologySphere (with the zero count) when the Smith
-    diagonal has zeros.
+    NotRationalHomologySphere (with the free rank) when A is degenerate.
     """
     if not a.is_square or not a.is_symmetric():
         raise NotSymmetric("intersection form must be symmetric")
-    diag = smith.diagonal
-    zero_count = sum(1 for d in diag if d == 0)
-    if zero_count:
-        raise NotRationalHomologySphere(zero_count)
-    return FinAbGroup(0, tuple(d for d in diag if d > 1))
+    group = smith.group
+    if group.free_rank:
+        raise NotRationalHomologySphere(group.free_rank)
+    return group
 
 
 def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
@@ -169,10 +171,11 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
 
     Lifts x to its 0/1 representative, halves A*lift (integral exactly
     when x is a cocycle), and expresses the result in invariant-factor
-    coordinates through the transform U of ``smith``, which must be a
-    Smith decomposition of A (as ``smith_normal_form(a)`` returns).
+    coordinates through the rows of the transform U at ``smith.factors``;
+    ``smith`` must be a Smith decomposition of A (as
+    ``smith_normal_form(a)`` returns).
     """
-    group = _form_group(a, smith)
+    group = form_group(a, smith)
     n = a.rows
     if len(x.bits) != n:
         raise NotACocycle(f"cochain length {len(x.bits)} does not match form size {n}")
@@ -183,11 +186,7 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
         raise NotACocycle(f"{x} is not in the mod-2 kernel")
     half = [v // 2 for v in image]
     u = smith.u
-    coords = tuple(
-        sum(e * h for e, h in zip(u.row(i), half)) % d
-        for i, d in enumerate(smith.diagonal)
-        if d > 1
-    )
+    coords = tuple(sum(e * h for e, h in zip(u.row(i), half)) % d for i, d in smith.factors)
     return CohClass(group, coords)
 
 
@@ -199,10 +198,11 @@ def wu_switch(c0: CohClass, a: IntMatrix, d: Z2Class) -> CohClass:
 def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     """The difference class whose Bockstein is the given 2-torsion target.
 
-    With U*A*V = S, the target's coordinate on the factor d = S[i, i] is
-    0 or d/2.  Setting z_i = 1 where it is d/2 (and 0 elsewhere), y = V*z
-    solves A*y = 2*U^-1*c, so y mod 2 -- the mod-2 sum of those columns of
-    V -- is a cocycle whose Bockstein is the target.  The Bockstein of a
+    With U*A*V = S, the target's coordinate on the factor d = S[i, i]
+    (position i of ``smith.factors``) is 0 or d/2.  Setting z_i = 1 where
+    it is d/2 (and 0 elsewhere), y = V*z solves A*y = 2*U^-1*c, so y mod 2
+    -- the mod-2 sum of those columns of V -- is a cocycle whose Bockstein
+    is the target.  The Bockstein of a
     rational homology sphere is injective, so that is the only preimage.
     NoPreimageFound signals input outside those hypotheses (a target from
     another group, say), or a closing Bockstein that misses the target.
@@ -210,11 +210,9 @@ def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     if not target.is_two_torsion:
         raise NotTwoTorsion(f"target {target} does not satisfy 2C = 0")
     smith = smith_normal_form(a)
-    if target.parent != _form_group(a, smith):
+    if target.parent != form_group(a, smith):
         raise NoPreimageFound(f"{target} is not a class of coker A")
-    # the group's coordinates sit at the diagonal positions with d > 1
-    factor_positions = (i for i, d in enumerate(smith.diagonal) if d > 1)
-    picked = [i for i, c in zip(factor_positions, target.coords) if c]
+    picked = [i for (i, _), c in zip(smith.factors, target.coords) if c]
     v = smith.v
     x = Z2Class(tuple(sum(v.row(r)[i] for i in picked) for r in range(v.rows)))
     if bockstein(a, smith, x) != target:

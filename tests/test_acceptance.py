@@ -10,7 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-from linkimm.catalog import np_smale_invariant
 from linkimm.classify import classify_kinjo_pushforward, classify_link_inclusion, table_row
 from linkimm.linalg import (
     FinAbGroup,
@@ -26,6 +25,7 @@ from linkimm.smale import (
     SmaleClassR4,
     kinjo_smale,
     kinjo_smale_reversed,
+    np_smale_invariant,
     pushforward_j,
     rho_map,
     sigma_map,

@@ -1,6 +1,6 @@
-from linkimm.catalog import group_order, np_smale_invariant, singularity_record
+from linkimm.catalog import group_order, singularity_record
 from linkimm.plumbing import DynkinLabel, dynkin_graph
-from linkimm.smale import SmaleClassR5
+from linkimm.smale import SmaleClassR5, np_smale_invariant
 
 ALL_LABELS = (
     [DynkinLabel("A", n) for n in range(2, 51)]

@@ -1,13 +1,14 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from linkimm import cli
 from linkimm.cli import jsonable, main, parse_label
 from linkimm.errors import InvalidParameter, NotRationalHomologySphere
-from linkimm.linalg import signature, smith_normal_form
-from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph
+from linkimm.linalg import cokernel, signature, smith_normal_form
+from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph, link_first_homology
 
 from oracles import random_tree_edges
 
@@ -241,6 +242,30 @@ class TestBocksteinCommand:
         code, out, err = run(capsys, "bockstein", str(path))
         assert code == 3 and not out
         assert "free rank 1" in err
+
+    def test_one_smith_form_per_payload(self, count_calls):
+        graphs = self.corpus()
+        snf = count_calls(smith_normal_form)
+        gates = count_calls(link_first_homology), count_calls(cokernel)
+        for k, g in enumerate(graphs):
+            del snf[:]
+            cli.bockstein_payload(g, f"g{k}")
+            assert len(snf) == 1
+        assert [len(calls) for calls in gates] == [0, 0]
+
+    @pytest.mark.parametrize("command", ["graph", "bockstein"])
+    def test_alpha_past_the_limit_exits_2(self, capsys, tmp_path, command):
+        # centre -1 with 18 leaves of -2: alpha = 17, so Gamma_2(0) has 2^17 classes
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "weight": -1}] + [{"id": i, "weight": -2} for i in range(1, 19)],
+            "edges": [{"a": 0, "b": i} for i in range(1, 19)],
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert code == 2 and not out
+        assert "alpha = 17" in err and "limit 16" in err
+        assert time.perf_counter() - start < 2
 
 
 class TestOneAnalysisPerForm:

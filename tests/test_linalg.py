@@ -83,6 +83,11 @@ class TestIntMatrixInput:
         d = IntMatrix.diagonal([True, 5])
         assert d.entries == (1, 0, 0, 5)
         assert all(type(e) is int for e in d.entries)
+        m = IntMatrix(1, 1, (True,))
+        assert m.entries == (1,) and type(m.entries[0]) is int
+        m = IntMatrix(2, 2, [1, 2, 3, 4])  # a list is stored as a tuple
+        assert m.entries == (1, 2, 3, 4) and type(m.entries) is tuple
+        assert hash(m) == hash(IntMatrix.from_rows([[1, 2], [3, 4]]))
 
 
 class TestSmithNormalForm:
@@ -239,7 +244,7 @@ class TestSignature:
             n = rng.randint(1, 10)
             kind = rng.choice(sorted(kinds))
             if kind == "hyperbolic":
-                # zero diagonal, sparse coupling: only hyperbolic steps apply at first
+                # zero diagonal, sparse coupling: only the e_i -> e_i + e_j step applies at first
                 rows = [[0] * n for _ in range(n)]
                 for i in range(n):
                     for j in range(i + 1, n):

@@ -1,0 +1,19 @@
+import ast
+from pathlib import Path
+
+import linkimm
+
+MODULES = sorted(Path(linkimm.__file__).parent.glob("*.py"))
+
+
+def test_no_import_inside_a_function():
+    # a function-level import is how an import cycle hides; every module
+    # imports what it needs at the top
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                          if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert MODULES and not found

@@ -107,6 +107,16 @@ class TestGraphValidation:
         with pytest.raises(InvalidGraph):
             PlumbingGraph((), ())
 
+    @pytest.mark.parametrize("vertices, edges", [
+        ([(0, 2.7), (1, -2)], [(0, 1, 1)]),   # float weight
+        ([(0, -2), ("1", -2)], [(0, "1")]),   # string id
+        ([(0, 2.7), ("1", "-2")], [("0", 1, 1.0)]),
+    ], ids=["float-weight", "string-id", "mixed"])
+    def test_build_rejects_non_int_values(self, vertices, edges):
+        # build passes the values through; it does not round or parse them
+        with pytest.raises(InvalidGraph):
+            PlumbingGraph.build(vertices, edges)
+
     def test_json_roundtrip(self):
         g = dynkin_graph(DynkinLabel("E", 6))
         assert PlumbingGraph.from_dict(g.to_dict()) == g

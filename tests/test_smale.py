@@ -217,21 +217,21 @@ class TestKinjoClasses:
             assert kinjo_smale(DynkinLabel("D", n)) == SmaleClassR4(4 * n * n + 12 * n - 1, 0)
 
     def test_pushforward_consistency(self):
-        from linkimm.catalog import np_smale_invariant
+        from linkimm.smale import np_smale_invariant
 
         labels = [DynkinLabel("A", 7), DynkinLabel("D", 5), DynkinLabel("E", 6), DynkinLabel("E", 8)]
         for label in labels:
             assert pushforward_j(kinjo_smale_reversed(label)) == np_smale_invariant(label)
 
     def test_consistency_guard_on_corrupt_catalog(self, monkeypatch):
-        import linkimm.catalog as catalog
+        import linkimm.smale as smale
 
         # odd mismatch: rho component would be half-integral
-        monkeypatch.setattr(catalog, "np_smale_invariant", lambda label: SmaleClassR5(0))
+        monkeypatch.setattr(smale, "np_smale_invariant", lambda label: SmaleClassR5(0))
         with pytest.raises(ConsistencyViolation):
             kinjo_smale(DynkinLabel("E", 6))
         # even mismatch: rho component would be a nonzero integer
-        monkeypatch.setattr(catalog, "np_smale_invariant", lambda label: SmaleClassR5(-165))
+        monkeypatch.setattr(smale, "np_smale_invariant", lambda label: SmaleClassR5(-165))
         with pytest.raises(ConsistencyViolation):
             kinjo_smale(DynkinLabel("E", 6))
 
