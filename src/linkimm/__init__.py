@@ -40,7 +40,6 @@ from .linalg import (
     cokernel,
     determinant,
     kernel_mod2,
-    rank_mod2,
     signature,
     smith_normal_form,
 )

@@ -93,7 +93,10 @@ def jsonable(value):
     """Recursively convert a payload to JSON-safe values, exactly.
 
     Integers outside +-(2^53 - 1) and all exact rationals become strings,
-    so parsing the document recovers every number bit-exactly.
+    so parsing the document recovers every number bit-exactly.  Values
+    are dispatched on their exact type: int, bool, str, None, Fraction,
+    list, tuple and dict, the types payloads hold; any other value, a
+    subclass included, raises TypeError.
     """
     kind = type(value)
     if kind is int:
@@ -104,16 +107,10 @@ def jsonable(value):
                 for v in value]
     if kind is dict:
         return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    if kind is bool or kind is str or value is None:
         return value
-    if isinstance(value, int):
-        return value if -JSON_SAFE_MAX <= value <= JSON_SAFE_MAX else str(value)
-    if isinstance(value, Fraction):
+    if kind is Fraction:
         return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
     raise TypeError(f"cannot serialize {value!r}")
 
 

@@ -9,8 +9,10 @@ tolerance anywhere.  The three workhorses are:
   cokernel Z^rows / A*Z^cols of any integer matrix.  The elimination
   runs on A alone and logs its steps; U and V are built from the logs
   on first read, so a caller that needs only the diagonal (``cokernel``)
-  never builds them.  The decomposition is the one place that reads
-  coker A off the diagonal: its ``factors`` and ``group``.
+  never builds them.  A column step writes only the pivot row, and the
+  sign and divisibility steps only the diagonal.  The decomposition is
+  the one place that reads coker A off the diagonal: its ``factors`` and
+  ``group``.
 * ``signature`` -- the signature of a symmetric form by exact rational
   congruence (Schur-complement) elimination on sparse rows, one 1x1
   pivot at a time; a vanishing remaining diagonal is first made nonzero
@@ -147,7 +149,8 @@ class SmithDecomposition:
     log on an identity matrix; V likewise on the first read of ``v``, from
     the column log replayed as row steps on V^T.  A caller that reads only
     ``s``, ``diagonal``, ``factors`` or ``group`` never pays for the
-    transforms, whose entries can run to hundreds of bits.
+    transforms, whose entries can run to hundreds of bits.  S is built
+    from the diagonal the elimination ends with.
 
     ``factors`` and ``group`` are the one reading of coker A off S; the
     coordinate of the factor at position i is read through row i of U.
@@ -276,22 +279,6 @@ def _row_axpy(m, i, k, c):
             ri[j] += c * e
 
 
-def _col_axpy(m, j, k, c):
-    """col_j += c * col_k."""
-    for row in m:
-        e = row[k]
-        if e:
-            row[j] += c * e
-
-
-def _combine_rows(m, i, j, c):
-    """(row_i, row_j) <- (x row_i + y row_j, p row_i + q row_j) for c = (x, y, p, q)."""
-    x, y, p, q = c
-    ri, rj = m[i], m[j]
-    m[i] = [x * e + y * f for e, f in zip(ri, rj)]
-    m[j] = [p * e + q * f for e, f in zip(ri, rj)]
-
-
 def _replay(n: int, steps) -> list:
     """Rows of the n x n identity after the logged row steps, in order.
 
@@ -308,7 +295,10 @@ def _replay(n: int, steps) -> list:
         elif op == "neg":
             m[i] = [-e for e in m[i]]
         else:
-            _combine_rows(m, i, j, c)
+            x, y, p, q = c
+            ri, rj = m[i], m[j]
+            m[i] = [x * e + y * f for e, f in zip(ri, rj)]
+            m[j] = [p * e + q * f for e, f in zip(ri, rj)]
     return m
 
 
@@ -320,7 +310,10 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     empty and rectangular ones.  Pivots are chosen with minimal absolute
     value to limit coefficient growth.  The elimination runs on A alone
     and logs its steps; U and V are built from the logs on first read
-    (see ``SmithDecomposition``).
+    (see ``SmithDecomposition``).  A column step follows a clean row
+    pass, when column t is p*e_t, so it changes the pivot row alone; after
+    the loop A is diagonal, so the sign and gcd/lcm steps change only the
+    diagonal.
     """
     nr, nc = a.rows, a.cols
     m = a.to_rows()
@@ -355,52 +348,57 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     if m[i][t]:
                         dirty = True
             if not dirty:
+                # column t is p*e_t: col_j -= q*col_t changes m[t][j] alone
+                mt = m[t]
                 for j in range(t + 1, nc):
-                    e = m[t][j]
+                    e = mt[j]
                     if e:
                         q = e // p
                         if q:
-                            _col_axpy(m, j, t, -q)
+                            e -= q * p
+                            mt[j] = e
                             col_steps.append(("axpy", j, t, -q))
-                        if m[t][j]:
+                        if e:
                             dirty = True
             if not dirty:
                 break
             pos = _find_min_pivot(m, t, nr, nc)
         t += 1
 
-    for i in range(limit):
-        if m[i][i] < 0:
-            for j in range(nc):
-                m[i][j] = -m[i][j]
+    # m is diagonal now; the remaining steps act on its diagonal d alone.
+    d = [m[i][i] for i in range(limit)]
+    for i, di in enumerate(d):
+        if di < 0:
+            d[i] = -di
             row_steps.append(("neg", i, i, None))
 
-    # Enforce the divisibility chain with gcd/lcm 2x2 transforms; zero
-    # diagonal entries sink to the end (gcd(0, d) = d, lcm = 0).
+    # Divisibility chain: col_i += col_j, a 2x2 row combine and col_j -=
+    # c*col_i turn diag(di, dj) into diag(g, di/g*dj), g = gcd(di, dj);
+    # zero entries sink to the end (gcd(0, d) = d).
     changed = True
     while changed:
         changed = False
         for i in range(limit - 1):
             for j in range(i + 1, limit):
-                di, dj = m[i][i], m[j][j]
+                di, dj = d[i], d[j]
                 if di == 0 and dj == 0:
                     continue
                 if di != 0 and dj % di == 0:
                     continue
                 g, x, y = _xgcd(di, dj)
-                _col_axpy(m, i, j, 1)
                 col_steps.append(("axpy", i, j, 1))
-                combine = (x, y, -(dj // g), di // g)
-                _combine_rows(m, i, j, combine)
-                row_steps.append(("combine", i, j, combine))
+                row_steps.append(("combine", i, j, (x, y, -(dj // g), di // g)))
                 c = (y * dj) // g
                 if c:
-                    _col_axpy(m, j, i, -c)
                     col_steps.append(("axpy", j, i, -c))
+                d[i], d[j] = g, di // g * dj
                 changed = True
 
+    entries = [0] * (nr * nc)
+    for i, di in enumerate(d):
+        entries[i * nc + i] = di
     return SmithDecomposition(
-        IntMatrix._trusted(nr, nc, tuple(itertools.chain.from_iterable(m))),
+        IntMatrix._trusted(nr, nc, tuple(entries)),
         tuple(row_steps),
         tuple(col_steps),
     )
@@ -457,15 +455,13 @@ def signature(a: IntMatrix) -> int:
     step updates one row: the leaf elimination of Neumann's plumbing
     calculus, linear up to the heap's log factor.
     """
-    if not a.is_square:
+    if not a.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
     indices = range(a.rows)
     rows = {}
     for i in indices:
         r = a.row(i)
         rows[i] = {j: Fraction(r[j]) for j in itertools.compress(indices, r)}
-    if any(rows[j].get(i) != e for i, row in rows.items() for j, e in row.items()):
-        raise NotSymmetric("signature requires a symmetric matrix")
     heap = [(len(row) - 1, i) for i, row in rows.items() if i in row]
     heapq.heapify(heap)
     pos = neg = 0
@@ -561,9 +557,3 @@ def kernel_mod2(a: IntMatrix) -> list:
         basis.append(tuple(vec))
     return basis
 
-
-def rank_mod2(a: IntMatrix) -> int:
-    """Rank of A over GF(2)."""
-    if not a.is_square:
-        raise ValueError("rank_mod2 requires a square matrix")
-    return a.rows - len(kernel_mod2(a))

@@ -69,7 +69,9 @@ class PlumbingGraph:
 
     Edge endpoints must be existing vertex ids, self-loops are rejected,
     and multi-edges are allowed (their signs add up in the intersection
-    form).  Disconnected graphs are rejected outright.
+    form).  Disconnected graphs are rejected outright.  Checked values
+    are stored as plain ints (True as 1, 1.0 as 1), so the JSON of
+    ``to_dict`` always parses back through ``from_dict``.
     """
 
     vertices: tuple  # of (id, weight)
@@ -92,6 +94,8 @@ class PlumbingGraph:
                 raise InvalidGraph(f"self-loop at vertex {a}")
             if s not in (1, -1):
                 raise InvalidGraph(f"edge sign must be +1 or -1, got {s!r}")
+        object.__setattr__(self, "vertices", tuple((int(v), int(w)) for v, w in self.vertices))
+        object.__setattr__(self, "edges", tuple((int(a), int(b), int(s)) for a, b, s in self.edges))
         if not self._is_connected():
             raise InvalidGraph("graph is not connected")
 
@@ -206,17 +210,16 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     """Symmetric intersection form of X(G), in the graph's vertex order.
 
-    The graph has already checked every weight and sign, so each is made
-    a plain int once here and the matrix skips the per-entry check.
+    The graph stores every weight and sign as a checked plain int, so the
+    matrix skips the per-entry check.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     n = g.vertex_count
     entries = [0] * (n * n)
     for i, (_, w) in enumerate(g.vertices):
-        entries[i * n + i] = int(w)
+        entries[i * n + i] = w
     for a, b, s in g.edges:
         i, j = index[a], index[b]
-        s = int(s)
         entries[i * n + j] += s
         entries[j * n + i] += s
     return IntMatrix._trusted(n, n, tuple(entries))

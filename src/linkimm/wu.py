@@ -158,7 +158,7 @@ def form_group(a: IntMatrix, smith: SmithDecomposition) -> FinAbGroup:
     Raises NotSymmetric unless A is a symmetric form, and
     NotRationalHomologySphere (with the free rank) when A is degenerate.
     """
-    if not a.is_square or not a.is_symmetric():
+    if not a.is_symmetric():
         raise NotSymmetric("intersection form must be symmetric")
     group = smith.group
     if group.free_rank:

@@ -342,6 +342,9 @@ class TestJsonExactness:
         assert jsonable([[big - 1, big], (-big, 1 - big), [[(big,)]]]) == [
             [big - 1, str(big)], [str(-big), 1 - big], [[[str(big)]]]]
         assert jsonable([Fraction(1, 2), 3, Fraction(4)]) == ["1/2", 3, "4/1"]
+        for value in (1.5, object(), [0, 1.5], {"x": object()}):
+            with pytest.raises(TypeError):
+                jsonable(value)
 
     @staticmethod
     def recursive_jsonable(value):

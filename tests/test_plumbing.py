@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -120,6 +121,18 @@ class TestGraphValidation:
     def test_json_roundtrip(self):
         g = dynkin_graph(DynkinLabel("E", 6))
         assert PlumbingGraph.from_dict(g.to_dict()) == g
+
+    @pytest.mark.parametrize("vertices, edges", [
+        (((0, True),), ()),
+        (((True, -2), (2, -3)), ((True, 2, 1),)),
+        (((0, -2), (1, -3)), ((0, 1.0, 1),)),
+        (((0, -2), (1, -3)), ((0, 1, 1.0),)),
+    ], ids=["bool-weight", "bool-id", "float-endpoint", "float-sign"])
+    def test_checked_values_round_trip_through_json(self, vertices, edges):
+        g = PlumbingGraph(vertices, edges)
+        assert PlumbingGraph.from_dict(json.loads(json.dumps(g.to_dict()))) == g
+        assert all(type(x) is int for vertex in g.vertices for x in vertex)
+        assert all(type(x) is int for edge in g.edges for x in edge)
 
     def test_json_sign_defaults_to_one(self):
         g = PlumbingGraph.from_dict(
