@@ -19,13 +19,16 @@ round-trips exactly: integers beyond the 53-bit safe range are emitted as
 decimal strings, exact rationals as "p/q" strings.  Exit codes: 0 success,
 2 usage or parse error (also a graph whose alpha exceeds ``MAX_ALPHA``,
 since Gamma_2(0) has 2^alpha classes), 3 mathematical rejection
-(degenerate form).
+(degenerate form), 1 when the reader closes stdout before the report is
+written (no traceback).
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -288,8 +291,11 @@ def _md_table(headers, rows) -> str:
 def _md_matrix(rows) -> str:
     if not rows:
         return "    (empty)"
-    width = max(len(str(e)) for r in rows for e in r)
-    return "\n".join("    [ " + "  ".join(str(e).rjust(width) for e in r) + " ]" for r in rows)
+    cells = list(map(str, itertools.chain.from_iterable(rows)))
+    width = max(map(len, cells))
+    cells = [c.rjust(width) for c in cells]
+    n = len(rows[0])
+    return "\n".join("    [ " + "  ".join(cells[k : k + n]) + " ]" for k in range(0, len(cells), n))
 
 
 def _bits(vec) -> str:
@@ -509,7 +515,15 @@ def main(argv=None) -> int:
     except NotRationalHomologySphere as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    print(json.dumps(jsonable(payload), indent=2) if args.format == "json" else md_renderer(payload))
+    text = json.dumps(jsonable(payload), indent=2) if args.format == "json" else md_renderer(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``, say).  Point stdout at
+        # devnull so the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

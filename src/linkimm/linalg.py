@@ -7,11 +7,15 @@ tolerance anywhere.  The three workhorses are:
 * ``smith_normal_form`` -- a unimodular factorization U*A*V = S with S
   diagonal, nonnegative, and divisibility-chained; this presents the
   cokernel Z^rows / A*Z^cols of any integer matrix.  The elimination
-  runs on A alone and logs its steps; U and V are built from the logs
-  on first read, so a caller that needs only the diagonal (``cokernel``)
-  never builds them.  A column step writes only the pivot row, and the
-  sign and divisibility steps only the diagonal.  The decomposition is
-  the one place that reads coker A off the diagonal: its ``factors`` and
+  runs on A alone, each row a dict of its nonzero entries, and logs its
+  steps.  A row step reads the nonzeros of the pivot row, a column swap
+  relabels two positions, a column step writes only the pivot row, and
+  the sign and divisibility steps only the diagonal.  U, V and any
+  chosen rows of U or columns of V are read off the logs on first read,
+  by one backward replay that touches only the chosen rows, so a caller
+  that needs only the diagonal (``cokernel``) builds no transform and
+  one that needs a few rows builds only those.  The decomposition is the
+  one place that reads coker A off the diagonal: its ``factors`` and
   ``group``.
 * ``signature`` -- the signature of a symmetric form by exact rational
   congruence (Schur-complement) elimination on sparse rows, one 1x1
@@ -25,7 +29,7 @@ down; signature pivoting picks minimal fill, which keeps it linear on trees.
 
 Matrices built from outside input (``IntMatrix(...)``, ``from_rows``,
 ``diagonal``) have every entry checked to be an int by the constructor;
-matrices the library computes itself (S, U, V, ``identity``, ``@``, and
+matrices the library computes itself (S, U, V, ``@``, and
 the intersection form of an already checked plumbing graph) skip that
 check.
 """
@@ -80,10 +84,6 @@ class IntMatrix:
         if any(len(r) != nc for r in rows):
             raise ValueError("ragged rows")
         return IntMatrix(nr, nc, [x for r in rows for x in r])
-
-    @staticmethod
-    def identity(n: int) -> "IntMatrix":
-        return IntMatrix._trusted(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
@@ -145,12 +145,16 @@ class SmithDecomposition:
     """Unimodular U, V and diagonal S with U*A*V = S for the input A.
 
     The elimination keeps S and a log of its row steps and of its column
-    steps.  U is built on the first read of ``u``, by replaying the row
-    log on an identity matrix; V likewise on the first read of ``v``, from
-    the column log replayed as row steps on V^T.  A caller that reads only
-    ``s``, ``diagonal``, ``factors`` or ``group`` never pays for the
-    transforms, whose entries can run to hundreds of bits.  S is built
-    from the diagonal the elimination ends with.
+    steps.  U is the product of the row steps, and V^T that of the column
+    steps (a column step on V is logged as a row step on V^T).
+    ``_replay_rows`` reads any chosen rows of such a product off its log.
+    ``u`` and ``v`` ask it for every row, on first read; ``factor_rows``
+    asks for the rows of U at ``factors``, and ``v_columns`` for chosen
+    rows of V^T, the columns of V.  A caller that reads only ``s``,
+    ``diagonal``, ``factors`` or ``group`` never pays for a transform,
+    whose entries can run to hundreds of bits, and one that reads
+    ``factor_rows`` or ``v_columns`` pays only for those rows.  S is
+    built from the diagonal the elimination ends with.
 
     ``factors`` and ``group`` are the one reading of coker A off S; the
     coordinate of the factor at position i is read through row i of U.
@@ -163,14 +167,24 @@ class SmithDecomposition:
     @functools.cached_property
     def u(self) -> IntMatrix:
         n = self.s.rows
-        rows = _replay(n, self.row_steps)
+        rows = _replay_rows(n, self.row_steps, range(n))
         return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
 
     @functools.cached_property
     def v(self) -> IntMatrix:
         n = self.s.cols
-        rows = zip(*_replay(n, self.col_steps))  # the replay builds V^T
+        rows = zip(*_replay_rows(n, self.col_steps, range(n)))  # the replay builds V^T
         return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
+
+    @functools.cached_property
+    def factor_rows(self) -> tuple:
+        """Row i of U for each (i, d) in ``factors``, in order, as tuples."""
+        picked = [i for i, _ in self.factors]
+        return tuple(map(tuple, _replay_rows(self.s.rows, self.row_steps, picked)))
+
+    def v_columns(self, positions) -> list:
+        """Column j of V for each j in ``positions``, in order, as lists."""
+        return _replay_rows(self.s.cols, self.col_steps, positions)
 
     @property
     def diagonal(self) -> tuple:
@@ -254,52 +268,81 @@ def _xgcd(a: int, b: int):
     return g, x0, y0
 
 
-def _find_min_pivot(m, t, nr, nc):
-    """Position of a minimal-magnitude nonzero entry of m[t:, t:], or None."""
+def _find_min_pivot(rows, t, pos):
+    """(i, c): row i and column key c of a least-magnitude entry in rows t.., or None.
+
+    Rows t.. hold entries only in the columns at positions >= t, and
+    ``pos`` maps a column key to its position.  Ties go to the first entry
+    in row-major order by position, and the scan ends at the first row
+    holding a unit.
+    """
     best = None
-    best_abs = None
-    for i in range(t, nr):
-        row = m[i]
-        for j in range(t, nc):
-            e = row[j]
-            if e:
-                a = -e if e < 0 else e
-                if best_abs is None or a < best_abs:
-                    best, best_abs = (i, j), a
-                    if a == 1:
-                        return best
-    return best
+    best_abs = 0
+    for i in range(t, len(rows)):
+        for e in rows[i].values():
+            if e < 0:
+                e = -e
+            if e < best_abs or not best_abs:
+                best, best_abs = i, e
+        if best_abs == 1:
+            break
+    if best is None:
+        return None
+    key = None
+    for c, e in rows[best].items():
+        if (e == best_abs or -e == best_abs) and (key is None or pos[c] < pos[key]):
+            key = c
+    return best, key
 
 
-def _row_axpy(m, i, k, c):
-    """row_i += c * row_k (skipping zero source entries)."""
-    ri, rk = m[i], m[k]
-    for j, e in enumerate(rk):
-        if e:
-            ri[j] += c * e
-
-
-def _replay(n: int, steps) -> list:
-    """Rows of the n x n identity after the logged row steps, in order.
+def _replay_rows(n: int, steps, picked) -> list:
+    """Rows ``picked``, in that order, of the n x n identity after the logged row steps.
 
     A step is ``(op, i, j, c)``: "swap" rows i and j; "axpy" row_i += c *
     row_j; "neg" negates row i; "combine" replaces rows i and j by
-    (x row_i + y row_j, p row_i + q row_j) for c = (x, y, p, q).
+    (x row_i + y row_j, p row_i + q row_j) for c = (x, y, p, q).  With E
+    the product of the steps, row r of E is e_r^T E, so the steps are
+    walked backwards, each as the column step that multiplies the picked
+    rows by it on the right.  A column of the picked rows is a dict of its
+    nonzero entries, so a step costs the size of the columns it reads, and
+    a few picked rows cost a few rows of work per step.
     """
-    m = IntMatrix.identity(n).to_rows()
-    for op, i, j, c in steps:
-        if op == "axpy":
-            _row_axpy(m, i, j, c)
+    cols = [{} for _ in range(n)]  # cols[c][k]: entry of picked row k in column c
+    for k, r in enumerate(picked):
+        cols[r][k] = 1
+    for op, i, j, c in reversed(steps):
+        if op == "axpy":  # times I + c*e_i*e_j^T: col_j += c * col_i
+            src = cols[i]
+            if src:
+                dst = cols[j]
+                for k, x in src.items():
+                    v = dst.get(k, 0) + c * x
+                    if v:
+                        dst[k] = v
+                    else:
+                        del dst[k]
         elif op == "swap":
-            m[i], m[j] = m[j], m[i]
+            cols[i], cols[j] = cols[j], cols[i]
         elif op == "neg":
-            m[i] = [-e for e in m[i]]
-        else:
+            col = cols[i]
+            for k in col:
+                col[k] = -col[k]
+        else:  # col_i, col_j = x col_i + p col_j, y col_i + q col_j
             x, y, p, q = c
-            ri, rj = m[i], m[j]
-            m[i] = [x * e + y * f for e, f in zip(ri, rj)]
-            m[j] = [p * e + q * f for e, f in zip(ri, rj)]
-    return m
+            ci, cj = cols[i], cols[j]
+            new_i, new_j = {}, {}
+            for k in ci.keys() | cj.keys():
+                e, f = ci.get(k, 0), cj.get(k, 0)
+                if v := x * e + p * f:
+                    new_i[k] = v
+                if v := y * e + q * f:
+                    new_j[k] = v
+            cols[i], cols[j] = new_i, new_j
+    out = [[0] * n for _ in picked]
+    for c, col in enumerate(cols):
+        for k, x in col.items():
+            out[k][c] = x
+    return out
 
 
 def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
@@ -308,15 +351,24 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     U and V are unimodular; S is (rectangular-)diagonal and nonnegative
     with S[i,i] | S[i+1,i+1].  Works for any integer matrix, including
     empty and rectangular ones.  Pivots are chosen with minimal absolute
-    value to limit coefficient growth.  The elimination runs on A alone
-    and logs its steps; U and V are built from the logs on first read
-    (see ``SmithDecomposition``).  A column step follows a clean row
-    pass, when column t is p*e_t, so it changes the pivot row alone; after
-    the loop A is diagonal, so the sign and gcd/lcm steps change only the
-    diagonal.
+    value to limit coefficient growth.  The elimination runs on A alone,
+    each row held as a dict of its nonzero entries, and logs its steps; U
+    and V are built from the logs on first read (see
+    ``SmithDecomposition``).  A row step reads the nonzeros of the pivot
+    row, and a column swap exchanges two positions without touching a
+    row.  A column step follows a clean row pass, when column t is p*e_t,
+    so it changes the pivot row alone; after the loop A is diagonal, so
+    the sign and gcd/lcm steps change only the diagonal.
     """
     nr, nc = a.rows, a.cols
-    m = a.to_rows()
+    rows = [{} for _ in range(nr)]
+    entries = a.entries
+    for k in itertools.compress(range(nr * nc), entries):
+        rows[k // nc][k % nc] = entries[k]
+    # A column swap swaps two positions of ``pos`` and ``key``, not the
+    # keys in the rows: rows key their entries by the original column.
+    key = list(range(nc))  # key[j]: the column at position j
+    pos = list(range(nc))  # pos[c]: the position of column c
     # Row steps act on U, column steps on V; a column step on V is logged
     # as the same row step on V^T.
     row_steps, col_steps = [], []
@@ -324,49 +376,60 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     t = 0
     limit = min(nr, nc)
     while t < limit:
-        pos = _find_min_pivot(m, t, nr, nc)
-        if pos is None:
+        found = _find_min_pivot(rows, t, pos)
+        if found is None:
             break
         while True:
-            i, j = pos
+            i, c = found
             if i != t:
-                m[t], m[i] = m[i], m[t]
+                rows[t], rows[i] = rows[i], rows[t]
                 row_steps.append(("swap", t, i, None))
+            j = pos[c]
             if j != t:
-                for row in m:
-                    row[t], row[j] = row[j], row[t]
+                ct = key[t]
+                key[t], key[j] = c, ct
+                pos[c], pos[ct] = t, j
                 col_steps.append(("swap", t, j, None))
-            p = m[t][t]
+            mt = rows[t]
+            p = mt[c]
             dirty = False
             for i in range(t + 1, nr):
-                e = m[i][t]
-                if e:
-                    q = e // p
+                ri = rows[i]
+                if c in ri:
+                    q = ri[c] // p
                     if q:
-                        _row_axpy(m, i, t, -q)
+                        for k, x in mt.items():
+                            v = ri.get(k, 0) - q * x
+                            if v:
+                                ri[k] = v
+                            else:
+                                del ri[k]
                         row_steps.append(("axpy", i, t, -q))
-                    if m[i][t]:
+                    if c in ri:
                         dirty = True
             if not dirty:
-                # column t is p*e_t: col_j -= q*col_t changes m[t][j] alone
-                mt = m[t]
-                for j in range(t + 1, nc):
-                    e = mt[j]
-                    if e:
-                        q = e // p
-                        if q:
-                            e -= q * p
-                            mt[j] = e
-                            col_steps.append(("axpy", j, t, -q))
+                # column t is p*e_t: col_j -= q*col_t changes the pivot row alone
+                for k in sorted(mt, key=pos.__getitem__):
+                    if k == c:
+                        continue
+                    e = mt[k]
+                    q = e // p
+                    if q:
+                        e -= q * p
+                        col_steps.append(("axpy", pos[k], t, -q))
                         if e:
-                            dirty = True
+                            mt[k] = e
+                        else:
+                            del mt[k]
+                    if e:
+                        dirty = True
             if not dirty:
                 break
-            pos = _find_min_pivot(m, t, nr, nc)
+            found = _find_min_pivot(rows, t, pos)
         t += 1
 
-    # m is diagonal now; the remaining steps act on its diagonal d alone.
-    d = [m[i][i] for i in range(limit)]
+    # A is diagonal now; the remaining steps act on its diagonal d alone.
+    d = [rows[i].get(key[i], 0) for i in range(limit)]
     for i, di in enumerate(d):
         if di < 0:
             d[i] = -di
@@ -379,6 +442,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     while changed:
         changed = False
         for i in range(limit - 1):
+            if d[i] == 1:
+                continue  # 1 divides every d[j]
             for j in range(i + 1, limit):
                 di, dj = d[i], d[j]
                 if di == 0 and dj == 0:

@@ -19,8 +19,11 @@ condition), and read the class of the result in coker(A) through a Smith
 decomposition of A that the caller computes once and passes in.  Changing
 a parallelization shifts the Wu invariant by the Bockstein of the
 difference class (``wu_switch``), and ``realize_parallelization`` inverts
-that shift by reading the preimage off the transform V of one Smith
-decomposition, checked by one Bockstein.
+that shift by reading the preimage off a few columns of the transform V
+of one Smith decomposition, checked by one Bockstein.  Neither map builds
+a whole transform: the Bockstein reads the rows of U at the factors
+(``SmithDecomposition.factor_rows``), the preimage the columns of V at the
+factors it needs (``SmithDecomposition.v_columns``).
 """
 
 from __future__ import annotations
@@ -171,8 +174,9 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
 
     Lifts x to its 0/1 representative, halves A*lift (integral exactly
     when x is a cocycle), and expresses the result in invariant-factor
-    coordinates through the rows of the transform U at ``smith.factors``;
-    ``smith`` must be a Smith decomposition of A (as
+    coordinates through the rows of the transform U at ``smith.factors``
+    (``smith.factor_rows``, built once per decomposition without the rest
+    of U); ``smith`` must be a Smith decomposition of A (as
     ``smith_normal_form(a)`` returns).
     """
     group = form_group(a, smith)
@@ -185,8 +189,8 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
     if any(v % 2 for v in image):
         raise NotACocycle(f"{x} is not in the mod-2 kernel")
     half = [v // 2 for v in image]
-    u = smith.u
-    coords = tuple(sum(e * h for e, h in zip(u.row(i), half)) % d for i, d in smith.factors)
+    coords = tuple(sum(e * h for e, h in zip(row, half)) % d
+                   for row, (_, d) in zip(smith.factor_rows, smith.factors))
     return CohClass(group, coords)
 
 
@@ -202,7 +206,8 @@ def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     (position i of ``smith.factors``) is 0 or d/2.  Setting z_i = 1 where
     it is d/2 (and 0 elsewhere), y = V*z solves A*y = 2*U^-1*c, so y mod 2
     -- the mod-2 sum of those columns of V -- is a cocycle whose Bockstein
-    is the target.  The Bockstein of a
+    is the target.  Only those columns are replayed
+    (``smith.v_columns``), never the whole of V.  The Bockstein of a
     rational homology sphere is injective, so that is the only preimage.
     NoPreimageFound signals input outside those hypotheses (a target from
     another group, say), or a closing Bockstein that misses the target.
@@ -213,8 +218,8 @@ def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     if target.parent != form_group(a, smith):
         raise NoPreimageFound(f"{target} is not a class of coker A")
     picked = [i for (i, _), c in zip(smith.factors, target.coords) if c]
-    v = smith.v
-    x = Z2Class(tuple(sum(v.row(r)[i] for i in picked) for r in range(v.rows)))
+    columns = smith.v_columns(picked)
+    x = Z2Class(tuple(sum(col[r] for col in columns) for r in range(a.cols)))
     if bockstein(a, smith, x) != target:
         raise NoPreimageFound(f"no mod-2 class maps to {target}")
     return x

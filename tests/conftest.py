@@ -3,6 +3,13 @@ import sys
 import pytest
 
 
+def _rebind(monkeypatch, fn, wrapper):
+    """Bind ``wrapper`` in place of ``fn`` in every linkimm module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "linkimm" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, wrapper)
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(fn)`` rebinds ``fn`` in every linkimm module that holds it.
@@ -18,9 +25,28 @@ def count_calls(monkeypatch):
             calls.append(args)
             return fn(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "linkimm" and getattr(module, fn.__name__, None) is fn:
-                monkeypatch.setattr(module, fn.__name__, counted)
+        _rebind(monkeypatch, fn, counted)
         return calls
 
     return count
+
+
+@pytest.fixture
+def record_results(monkeypatch):
+    """``record_results(fn)`` rebinds ``fn`` like ``count_calls``.
+
+    The list it returns records the result of each call instead.
+    """
+
+    def record(fn):
+        results = []
+
+        def recorded(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            results.append(result)
+            return result
+
+        _rebind(monkeypatch, fn, recorded)
+        return results
+
+    return record

@@ -7,7 +7,10 @@ with membership decided through a rational inverse, and group structure is
 read off p-power torsion counts.  These are the reference values the fast
 implementations are checked against.  ``smith_normal_form_eager`` keeps the
 Smith normal form that updated U and V alongside S, as the reference for
-the library's version that builds them from a step log.
+the library's version that builds them from a step log;
+``smith_normal_form_dense`` keeps the dense-row elimination and its
+forward replay, as the reference for the library's sparse elimination and
+its row-selective backward replay.
 """
 
 from __future__ import annotations
@@ -327,6 +330,128 @@ def smith_normal_form_eager(rows, nc):
                 changed = True
 
     return u, m, v
+
+
+# ---------------------------------------------------------------------------
+# dense Smith normal form: the reference for the library's sparse one
+
+
+def _replay(n: int, steps) -> list:
+    """Rows of the n x n identity after the logged row steps, in order.
+
+    A step is ``(op, i, j, c)``: "swap" rows i and j; "axpy" row_i += c *
+    row_j; "neg" negates row i; "combine" replaces rows i and j by
+    (x row_i + y row_j, p row_i + q row_j) for c = (x, y, p, q).
+    """
+    m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for op, i, j, c in steps:
+        if op == "axpy":
+            _row_axpy(m, i, j, c)
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "neg":
+            m[i] = [-e for e in m[i]]
+        else:
+            x, y, p, q = c
+            ri, rj = m[i], m[j]
+            m[i] = [x * e + y * f for e, f in zip(ri, rj)]
+            m[j] = [p * e + q * f for e, f in zip(ri, rj)]
+    return m
+
+
+def smith_normal_form_dense(rows, nc):
+    """(S as row lists, row step log, column step log) by dense elimination.
+
+    The library's ``smith_normal_form`` before its rows went sparse: every
+    step walks whole dense rows, and a column swap touches every row.  The
+    sparse elimination must log the same steps in the same order and end
+    with the same S.  ``_replay(len(rows), row_steps)`` rebuilds U and
+    ``_replay(nc, col_steps)`` rebuilds V^T.  ``nc`` gives the column count
+    of a matrix with no rows.
+    """
+    nr = len(rows)
+    m = [list(r) for r in rows]
+    # Row steps act on U, column steps on V; a column step on V is logged
+    # as the same row step on V^T.
+    row_steps, col_steps = [], []
+
+    t = 0
+    limit = min(nr, nc)
+    while t < limit:
+        pos = _find_min_pivot(m, t, nr, nc)
+        if pos is None:
+            break
+        while True:
+            i, j = pos
+            if i != t:
+                m[t], m[i] = m[i], m[t]
+                row_steps.append(("swap", t, i, None))
+            if j != t:
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+                col_steps.append(("swap", t, j, None))
+            p = m[t][t]
+            dirty = False
+            for i in range(t + 1, nr):
+                e = m[i][t]
+                if e:
+                    q = e // p
+                    if q:
+                        _row_axpy(m, i, t, -q)
+                        row_steps.append(("axpy", i, t, -q))
+                    if m[i][t]:
+                        dirty = True
+            if not dirty:
+                # column t is p*e_t: col_j -= q*col_t changes m[t][j] alone
+                mt = m[t]
+                for j in range(t + 1, nc):
+                    e = mt[j]
+                    if e:
+                        q = e // p
+                        if q:
+                            e -= q * p
+                            mt[j] = e
+                            col_steps.append(("axpy", j, t, -q))
+                        if e:
+                            dirty = True
+            if not dirty:
+                break
+            pos = _find_min_pivot(m, t, nr, nc)
+        t += 1
+
+    # m is diagonal now; the remaining steps act on its diagonal d alone.
+    d = [m[i][i] for i in range(limit)]
+    for i, di in enumerate(d):
+        if di < 0:
+            d[i] = -di
+            row_steps.append(("neg", i, i, None))
+
+    # Divisibility chain: col_i += col_j, a 2x2 row combine and col_j -=
+    # c*col_i turn diag(di, dj) into diag(g, di/g*dj), g = gcd(di, dj);
+    # zero entries sink to the end (gcd(0, d) = d).
+    changed = True
+    while changed:
+        changed = False
+        for i in range(limit - 1):
+            for j in range(i + 1, limit):
+                di, dj = d[i], d[j]
+                if di == 0 and dj == 0:
+                    continue
+                if di != 0 and dj % di == 0:
+                    continue
+                g, x, y = _xgcd(di, dj)
+                col_steps.append(("axpy", i, j, 1))
+                row_steps.append(("combine", i, j, (x, y, -(dj // g), di // g)))
+                c = (y * dj) // g
+                if c:
+                    col_steps.append(("axpy", j, i, -c))
+                d[i], d[j] = g, di // g * dj
+                changed = True
+
+    s = [[0] * nc for _ in range(nr)]
+    for i, di in enumerate(d):
+        s[i][i] = di
+    return s, tuple(row_steps), tuple(col_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -177,6 +180,20 @@ class TestGraph:
         assert doc["class"]["smale_type"] == "-3/2"
         assert "warning" in doc["class"]
 
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # the A_200 report runs to megabytes, far past a pipe's buffer, so
+        # the print is still writing when the reader goes away
+        path = write_graph(tmp_path, DynkinLabel("A", 201))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.Popen([sys.executable, "-m", "linkimm.cli", "graph", path, "--format", "json"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert "Traceback" not in err, err
+
     def test_snf_factorization_reported(self, capsys, tmp_path):
         path = write_graph(tmp_path, DynkinLabel("A", 3))
         doc = run_json(capsys, "graph", path, "--format", "json")
@@ -252,6 +269,17 @@ class TestBocksteinCommand:
             cli.bockstein_payload(g, f"g{k}")
             assert len(snf) == 1
         assert [len(calls) for calls in gates] == [0, 0]
+
+    def test_transforms_are_built_for_the_certificate_only(self, record_results):
+        decs = record_results(smith_normal_form)
+        for k, g in enumerate(self.corpus()):
+            del decs[:]
+            cli.bockstein_payload(g, f"g{k}")
+            assert not [d for d in decs if "u" in vars(d) or "v" in vars(d)]
+            del decs[:]
+            cli.graph_payload(g, f"g{k}")
+            assert len([d for d in decs if "u" in vars(d)]) == 1
+            assert len([d for d in decs if "v" in vars(d)]) == 1
 
     @pytest.mark.parametrize("command", ["graph", "bockstein"])
     def test_alpha_past_the_limit_exits_2(self, capsys, tmp_path, command):

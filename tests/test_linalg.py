@@ -18,10 +18,12 @@ from linkimm.linalg import (
 
 from oracles import (
     CosetGroup,
+    _replay as replay_dense,
     random_matrix,
     random_symmetric,
     random_tree_edges,
     signature_by_root_count,
+    smith_normal_form_dense,
     smith_normal_form_eager,
 )
 
@@ -45,6 +47,15 @@ def cartan_from_edges(n, edges):
 def cartan_a(k):
     """k-vertex path, i.e. the A_k diagram."""
     return cartan_from_edges(k, [(i, i + 1) for i in range(k - 1)])
+
+
+def mixed_weight_tree(rng, n):
+    rows = [[0] * n for _ in range(n)]
+    for v in range(n):
+        rows[v][v] = rng.choice((-2, -2, -3, -3, -4, -1, -5, 1, 2))
+    for v, p in random_tree_edges(rng, n):
+        rows[v][p] = rows[p][v] = rng.choice((1, -1))
+    return rows
 
 
 def check_decomposition(a: IntMatrix):
@@ -196,8 +207,8 @@ class TestSmithAgainstEager:
         find = linalg._find_min_pivot
         sizes = {}
 
-        def checked(m, t, nr, nc):
-            pos = find(m, t, nr, nc)
+        def checked(m, t, columns):
+            pos = find(m, t, columns)
             if pos is not None:
                 size = abs(m[pos[0]][pos[1]])
                 assert size < sizes.get(t, size + 1), f"pivot {t} did not shrink"
@@ -218,6 +229,87 @@ class TestSmithAgainstEager:
         assert dec.u is dec.u
         assert "v" not in vars(dec)
         assert dec.v is dec.v
+        # the factor rows of U and chosen columns of V never build U or V
+        d4 = smith_normal_form(IntMatrix.from_rows(cartan_from_edges(4, [(0, 1), (0, 2), (0, 3)])))
+        rows, columns = d4.factor_rows, d4.v_columns([3, 0, 2])
+        assert "u" not in vars(d4) and "v" not in vars(d4)
+        assert d4.factors == ((2, 2), (3, 2))
+        assert rows == (d4.u.row(2), d4.u.row(3))
+        assert columns == [list(d4.v.column(j)) for j in (3, 0, 2)]
+
+
+class TestSmithAgainstDense(TestSmithAgainstEager):
+    """The sparse elimination logs exactly the steps of the dense one.
+
+    Every input of ``TestSmithAgainstEager`` runs again against the dense
+    oracle, and so does a ladder of larger and sparser forms.
+    """
+
+    @staticmethod
+    def assert_matches(a: IntMatrix):
+        s, row_steps, col_steps = smith_normal_form_dense(a.to_rows(), a.cols)
+        dec = smith_normal_form(a)
+        assert dec.s.to_rows() == s
+        assert dec.row_steps == row_steps
+        assert dec.col_steps == col_steps
+
+    def test_mixed_weight_trees_100_to_200(self):
+        rng = random.Random(7171)
+        for n in (100, 130, 160, 200):
+            self.assert_matches(IntMatrix.from_rows(mixed_weight_tree(rng, n)))
+
+    def test_a_and_d_paths(self):
+        for n in (2, 3, 10, 50, 145, 400):
+            self.assert_matches(IntMatrix.from_rows(cartan_a(n)))
+            if n >= 4:
+                edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+                self.assert_matches(IntMatrix.from_rows(cartan_from_edges(n, edges)))
+
+    def test_stars(self):
+        for leaves in range(1, 17):  # alpha up to 15
+            for centre in (-1, -3, -4, 2):
+                rows = [[0] * (leaves + 1) for _ in range(leaves + 1)]
+                rows[0][0] = centre
+                for v in range(1, leaves + 1):
+                    rows[v][v] = -2
+                    rows[0][v] = rows[v][0] = (-1) ** v
+                self.assert_matches(IntMatrix.from_rows(rows))
+
+    def test_empty_and_rectangular(self):
+        rng = random.Random(7272)
+        for r, c in [(0, 0), (0, 9), (9, 0), (1, 12), (12, 1), (6, 20), (20, 6), (15, 15)]:
+            sparse = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
+            self.assert_matches(IntMatrix.from_rows(sparse) if r else IntMatrix.zero(0, c))
+
+
+class TestReplayRows:
+    """Chosen rows of U and columns of V equal the rows of the full transforms."""
+
+    @staticmethod
+    def forms():
+        rng = random.Random(7373)
+        yield IntMatrix.from_rows(cartan_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
+        for n in (1, 7, 40, 90):
+            yield IntMatrix.from_rows(mixed_weight_tree(rng, n))
+        for _ in range(20):
+            r, c = rng.randint(1, 8), rng.randint(1, 8)
+            yield IntMatrix.from_rows(random_matrix(rng, r, c, -9, 9))
+
+    def test_random_subsets_match_the_full_transforms(self):
+        rng = random.Random(7474)
+        for a in self.forms():
+            dec = smith_normal_form(a)
+            u, vt = replay_dense(a.rows, dec.row_steps), replay_dense(a.cols, dec.col_steps)
+            assert dec.u.to_rows() == u
+            assert [list(dec.v.column(j)) for j in range(a.cols)] == vt
+            for steps, full in ((dec.row_steps, u), (dec.col_steps, vt)):
+                n = len(full)
+                for k in {0, 1, n // 2, n}:
+                    picked = rng.sample(range(n), k)
+                    assert linalg._replay_rows(n, steps, picked) == [full[r] for r in picked]
+            picked = rng.sample(range(a.cols), a.cols // 2)
+            assert dec.v_columns(picked) == [vt[j] for j in picked]
+            assert dec.factor_rows == tuple(tuple(u[i]) for i, _ in dec.factors)
 
 
 class TestCokernel:

@@ -260,6 +260,21 @@ class TestRealizeParallelization:
         assert all(sum(itertools.compress(a.row(i), x.bits)) % 2 == 0 for i in range(a.rows))
         assert bockstein(a, smith_normal_form(a), x) == target
 
+    def test_reads_columns_of_v_only(self, record_results):
+        decs = record_results(smith_normal_form)
+        for leaves in range(1, 9):
+            g = PlumbingGraph.build([(0, -1)] + [(v, -2) for v in range(1, leaves + 1)],
+                                    [(0, v, 1) for v in range(1, leaves + 1)])
+            a = intersection_matrix(g)
+            h = cokernel(a)
+            if h.free_rank:  # centre -1 with two leaves is degenerate
+                continue
+            for target in gamma2(h, CohClass.zero(h)):
+                del decs[:]
+                realize_parallelization(a, target)
+                assert len(decs) == 1
+                assert "u" not in vars(decs[0]) and "v" not in vars(decs[0])
+
     @staticmethod
     def first_preimages(a):
         """Brute force: the first candidate in product order hitting each class."""
