@@ -1,7 +1,7 @@
 """Exact integer linear algebra: Smith normal form, cokernels, signatures.
 
-Everything here runs over Python's arbitrary-precision integers (and exact
-rationals where division is unavoidable), so there is no overflow and no
+Everything here runs over Python's arbitrary-precision integers, and
+every division is exact, so there is no overflow, no rounding and no
 tolerance anywhere.  The three workhorses are:
 
 * ``smith_normal_form`` -- a unimodular factorization U*A*V = S with S
@@ -17,12 +17,18 @@ tolerance anywhere.  The three workhorses are:
   one that needs a few rows builds only those.  The decomposition is the
   one place that reads coker A off the diagonal: its ``factors`` and
   ``group``.
-* ``signature`` -- the signature of a symmetric form by exact rational
+* ``signature`` -- the signature of a symmetric form by fraction-free
   congruence (Schur-complement) elimination on sparse rows, one 1x1
-  pivot at a time; a vanishing remaining diagonal is first made nonzero
-  by the congruence e_i -> e_i + e_j.
-* ``kernel_mod2`` -- a basis of the mod-2 kernel by Gaussian elimination
-  over GF(2), with rows stored as Python-int bitmasks.
+  pivot at a time, each row held as integer numerators over one positive
+  denominator; a vanishing remaining diagonal is first made nonzero by
+  the congruence e_i -> e_i + e_j.
+* ``kernel_mod2`` -- a basis of the mod-2 kernel: an echelon of Python-int
+  bitmask rows keyed by their lowest set bit, back-substituted to the
+  reduced echelon form.
+
+Every one of them starts from ``IntMatrix.nonzero_rows``, one dict of
+nonzero entries per row, built once per matrix (and directly from the
+graph for an intersection form), so none scans the dense entries.
 
 Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
@@ -41,7 +47,6 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import NotSymmetric
 
@@ -70,10 +75,16 @@ class IntMatrix:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(entries)}")
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        """A matrix of entries the library computed itself: no per-entry check."""
+    def _trusted(cls, rows: int, cols: int, entries: tuple, nonzero_rows=None) -> "IntMatrix":
+        """A matrix of entries the library computed itself: no per-entry check.
+
+        A caller that already holds the sparse rows passes them as
+        ``nonzero_rows``, which then needs no scan of the entries.
+        """
         m = object.__new__(cls)
         m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        if nonzero_rows is not None:
+            m.__dict__["nonzero_rows"] = nonzero_rows
         return m
 
     @staticmethod
@@ -110,6 +121,19 @@ class IntMatrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    @functools.cached_property
+    def nonzero_rows(self) -> tuple:
+        """One dict {j: A[i, j]} of the nonzero entries of each row i.
+
+        Built once per matrix and shared by every reader: a caller copies
+        a dict before it changes it.
+        """
+        nc, e = self.cols, self.entries
+        rows = tuple([{} for _ in range(self.rows)])
+        for k in itertools.compress(range(len(e)), e):
+            rows[k // nc][k % nc] = e[k]
+        return rows
+
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matrix product")
@@ -127,8 +151,12 @@ class IntMatrix:
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
-        n, e = self.cols, self.entries
-        return all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
+        rows = self.nonzero_rows
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                if rows[j].get(i) != x:
+                    return False
+        return True
 
     def __str__(self):
         if not self.entries:
@@ -188,8 +216,8 @@ class SmithDecomposition:
 
     @property
     def diagonal(self) -> tuple:
-        k = min(self.s.rows, self.s.cols)
-        return tuple(self.s[i, i] for i in range(k))
+        s = self.s
+        return s.entries[:: s.cols + 1][: min(s.rows, s.cols)]
 
     @functools.cached_property
     def factors(self) -> tuple:
@@ -361,10 +389,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     the sign and gcd/lcm steps change only the diagonal.
     """
     nr, nc = a.rows, a.cols
-    rows = [{} for _ in range(nr)]
-    entries = a.entries
-    for k in itertools.compress(range(nr * nc), entries):
-        rows[k // nc][k % nc] = entries[k]
+    rows = [dict(r) for r in a.nonzero_rows]
     # A column swap swaps two positions of ``pos`` and ``key``, not the
     # keys in the rows: rows key their entries by the original column.
     key = list(range(nc))  # key[j]: the column at position j
@@ -504,29 +529,36 @@ def determinant(a: IntMatrix) -> int:
 
 
 def signature(a: IntMatrix) -> int:
-    """Signature of a symmetric integer matrix, by exact congruence.
+    """Signature of a symmetric integer matrix, by fraction-free congruence.
 
     Repeatedly splits off a 1x1 block at a nonzero diagonal pivot (Schur
     complement over Q).  Whenever the remaining diagonal is identically
-    zero, the congruence e_i -> e_i + e_j at an entry A[i][j] != 0 gives
-    row i the diagonal 2*A[i][j] first.  Zero eigenvalues contribute
-    nothing, so singular forms are fine.  Raises NotSymmetric otherwise.
+    zero, the congruence e_i -> e_i + e_j, at the lowest remaining row i
+    with an entry and its lowest column j, gives row i the diagonal
+    2*A[i][j] first.  Zero eigenvalues contribute nothing, so singular
+    forms are fine.  Raises NotSymmetric otherwise.
 
-    Each row is stored as a dict of its nonzero entries, so a pivot's fill
-    (the other rows it touches) is its row length less one, and a step
-    updates only the pivot's neighbours.  Pivots come from a heap keyed by
-    (fill, index): the least fill, ties to the lowest index.  On a tree a
-    leaf has fill 1 and is taken whenever its diagonal is nonzero, and its
-    step updates one row: the leaf elimination of Neumann's plumbing
-    calculus, linear up to the heap's log factor.
+    Each row of the remaining block is held as a dict of its nonzero
+    integer numerators over one positive row denominator.  A pivot with
+    numerator d turns row r, with entry b in the pivot column, into
+    |d|*row_r - sgn(d)*b*prow over |d| times its old denominator, which is
+    then divided by the gcd of the denominator and the numerators; the
+    pivot's denominator cancels.  Every entry of a Schur complement is a
+    ratio of minors (Sylvester's identity, as in Bareiss elimination), so
+    the reduced numerators stay as small as the minors.  The sign of a
+    pivot is the sign of its numerator.
+
+    A pivot's fill (the other rows it touches) is its row length less one,
+    and a step updates only the pivot's neighbours.  Pivots come from a
+    heap keyed by (fill, index): the least fill, ties to the lowest index.
+    On a tree a leaf has fill 1 and is taken whenever its diagonal is
+    nonzero, and its step updates one row: the leaf elimination of
+    Neumann's plumbing calculus, linear up to the heap's log factor.
     """
     if not a.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
-    indices = range(a.rows)
-    rows = {}
-    for i in indices:
-        r = a.row(i)
-        rows[i] = {j: Fraction(r[j]) for j in itertools.compress(indices, r)}
+    rows = {i: dict(row) for i, row in enumerate(a.nonzero_rows)}
+    den = [1] * a.rows  # row i of the remaining block is rows[i] / den[i]
     heap = [(len(row) - 1, i) for i, row in rows.items() if i in row]
     heapq.heapify(heap)
     pos = neg = 0
@@ -546,36 +578,66 @@ def signature(a: IntMatrix) -> int:
                 pos += 1
             else:
                 neg += 1
-            for r, e in prow.items():
+            m = abs(d)
+            for r in prow:
                 row = rows[r]
-                del row[pivot]
-                f = e / d
+                b = row.pop(pivot)
+                if d < 0:
+                    b = -b
+                dr = den[r]
+                if m != 1:
+                    dr *= m
+                    for c in row:
+                        row[c] *= m
                 for c, x in prow.items():
-                    v = row.get(c, 0) - f * x
+                    v = row.get(c, 0) - b * x
                     if v:
                         row[c] = v
                     else:
                         row.pop(c, None)
+                if dr != 1:
+                    g = math.gcd(dr, *row.values())
+                    if g != 1:
+                        dr //= g
+                        for c in row:
+                            row[c] //= g
+                den[r] = dr
                 if r in row:
                     heapq.heappush(heap, (len(row) - 1, r))
             continue
         # Whole remaining diagonal is zero: for some A[i][j] != 0 the
         # congruence e_i -> e_i + e_j makes A[i][i] = 2*A[i][j] != 0, and
         # the 1x1 step above takes row i next.
-        pair = next(((i, j) for i, row in rows.items() for j in row), None)
-        if pair is None:
+        i = next((i for i, row in rows.items() if row), None)
+        if i is None:
             break  # remaining block is zero
-        i, j = pair
         irow = rows[i]
+        j = min(irow)
+        # row i += row j, over the common denominator l
+        l = math.lcm(den[i], den[j])
+        fi, fj = l // den[i], l // den[j]
+        if fi != 1:
+            for c in irow:
+                irow[c] *= fi
         for c, x in rows[j].items():
             if c != i:
-                v = irow.get(c, 0) + x
+                v = irow.get(c, 0) + fj * x
                 if v:
-                    irow[c] = rows[c][i] = v
+                    irow[c] = v
                 else:
                     irow.pop(c, None)
-                    rows[c].pop(i, None)
+                # column i += column j: row c keeps its own denominator
+                rc = rows[c]
+                v = rc.get(i, 0) + rc[j]
+                if v:
+                    rc[i] = v
+                else:
+                    rc.pop(i, None)
         irow[i] = 2 * irow[j]
+        g = math.gcd(l, *irow.values())
+        for c in irow:
+            irow[c] //= g
+        den[i] = l // g
         heapq.heappush(heap, (len(irow) - 1, i))
     return pos - neg
 
@@ -583,42 +645,50 @@ def signature(a: IntMatrix) -> int:
 def kernel_mod2(a: IntMatrix) -> list:
     """Basis of {x in Z_2^n : A x = 0 mod 2} for square A.
 
-    Gaussian elimination over GF(2) with rows held as int bitmasks; the
-    returned basis vectors are 0/1 tuples, one per free column.
+    Rows are held as int bitmasks, bit j for column j.  Each row is
+    reduced against an echelon keyed by the lowest set bit of its rows and
+    joins it under its own lowest bit if anything is left; a back
+    substitution, from the highest pivot down, then clears every pivot
+    column outside its own row.  That is the reduced echelon form, which
+    is unique, so the basis does not depend on the order of the rows.  The
+    returned basis vectors are 0/1 tuples, one per free column, in order.
     """
     if not a.is_square:
         raise ValueError("kernel_mod2 requires a square matrix")
     n = a.rows
-    rows = []
-    for i in range(n):
+    echelon = {}  # lowest set bit -> row
+    for row in a.nonzero_rows:
         mask = 0
-        for j, e in enumerate(a.row(i)):
+        for j, e in row.items():
             if e & 1:
                 mask |= 1 << j
-        rows.append(mask)
+        while mask:
+            low = mask & -mask
+            other = echelon.get(low)
+            if other is None:
+                echelon[low] = mask
+                break
+            mask ^= other
 
-    pivots = []
-    r = 0
-    for c in range(n):
-        sel = next((i for i in range(r, n) if rows[i] >> c & 1), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        for i in range(n):
-            if i != r and rows[i] >> c & 1:
-                rows[i] ^= rows[r]
-        pivots.append(c)
-        r += 1
+    pivot_bits = sum(echelon)  # the keys are distinct powers of two
+    for low in sorted(echelon, reverse=True):
+        # the rows of the higher pivots are reduced already
+        row = echelon[low]
+        rest = row & pivot_bits & ~low
+        while rest:
+            bit = rest & -rest
+            row ^= echelon[bit]
+            rest ^= bit
+        echelon[low] = row
 
-    pivot_set = set(pivots)
+    pivots = [(low.bit_length() - 1, row) for low, row in echelon.items()]
     basis = []
     for f in range(n):
-        if f in pivot_set:
+        if pivot_bits >> f & 1:
             continue
         vec = [0] * n
         vec[f] = 1
-        for idx, p in enumerate(pivots):
-            vec[p] = rows[idx] >> f & 1
+        for p, row in pivots:
+            vec[p] = row >> f & 1
         basis.append(tuple(vec))
     return basis
-

@@ -94,8 +94,11 @@ class PlumbingGraph:
                 raise InvalidGraph(f"self-loop at vertex {a}")
             if s not in (1, -1):
                 raise InvalidGraph(f"edge sign must be +1 or -1, got {s!r}")
-        object.__setattr__(self, "vertices", tuple((int(v), int(w)) for v, w in self.vertices))
-        object.__setattr__(self, "edges", tuple((int(a), int(b), int(s)) for a, b, s in self.edges))
+        # tuple() of a list, not of a generator: CPython resizes the latter,
+        # and once freed it stays in the tuple free list until a full garbage
+        # collection, so a long run of small graphs grows that list by megabytes
+        object.__setattr__(self, "vertices", tuple([(int(v), int(w)) for v, w in self.vertices]))
+        object.__setattr__(self, "edges", tuple([(int(a), int(b), int(s)) for a, b, s in self.edges]))
         if not self._is_connected():
             raise InvalidGraph("graph is not connected")
 
@@ -134,8 +137,8 @@ class PlumbingGraph:
         InvalidGraph on an id or weight that is not an int, or a sign that
         is not +1 or -1.
         """
-        vs = tuple((v, w) for v, w in vertices)
-        es = tuple((*e, 1) if len(e) == 2 else tuple(e) for e in edges)
+        vs = tuple([(v, w) for v, w in vertices])
+        es = tuple([(*e, 1) if len(e) == 2 else tuple(e) for e in edges])
         return PlumbingGraph(vs, es)
 
     @staticmethod
@@ -210,19 +213,30 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     """Symmetric intersection form of X(G), in the graph's vertex order.
 
-    The graph stores every weight and sign as a checked plain int, so the
+    The sparse rows (``IntMatrix.nonzero_rows``) are built first, from the
+    weights and edges, leaving out entries that cancel (a weight of 0,
+    multi-edges of opposite signs), and the matrix carries them, so no
+    reader scans its n^2 entries for the ~3n nonzeros of a tree.  The
+    graph stores every weight and sign as a checked plain int, so the
     matrix skips the per-entry check.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     n = g.vertex_count
-    entries = [0] * (n * n)
-    for i, (_, w) in enumerate(g.vertices):
-        entries[i * n + i] = w
+    rows = tuple([{i: w} if w else {} for i, (_, w) in enumerate(g.vertices)])
     for a, b, s in g.edges:
         i, j = index[a], index[b]
-        entries[i * n + j] += s
-        entries[j * n + i] += s
-    return IntMatrix._trusted(n, n, tuple(entries))
+        for r, c in ((i, j), (j, i)):
+            row = rows[r]
+            v = row.get(c, 0) + s
+            if v:
+                row[c] = v
+            else:
+                del row[c]
+    entries = [0] * (n * n)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            entries[i * n + j] = x
+    return IntMatrix._trusted(n, n, tuple(entries), rows)
 
 
 def filling_signature(g: PlumbingGraph) -> int:

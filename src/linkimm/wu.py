@@ -183,9 +183,13 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
     n = a.rows
     if len(x.bits) != n:
         raise NotACocycle(f"cochain length {len(x.bits)} does not match form size {n}")
-    lift = x.bits
-    # A*lift for a 0/1 lift: each row's sum over the lift's support
-    image = [sum(itertools.compress(a.row(i), lift)) for i in range(n)]
+    # A*lift for a 0/1 lift: A is symmetric, so the sum of the rows of A
+    # on the lift's support
+    image = [0] * n
+    rows = a.nonzero_rows
+    for j in itertools.compress(range(n), x.bits):
+        for i, e in rows[j].items():
+            image[i] += e
     if any(v % 2 for v in image):
         raise NotACocycle(f"{x} is not in the mod-2 kernel")
     half = [v // 2 for v in image]

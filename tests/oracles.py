@@ -10,13 +10,22 @@ Smith normal form that updated U and V alongside S, as the reference for
 the library's version that builds them from a step log;
 ``smith_normal_form_dense`` keeps the dense-row elimination and its
 forward replay, as the reference for the library's sparse elimination and
-its row-selective backward replay.
+its row-selective backward replay.  ``signature_fraction`` keeps the
+sparse elimination in exact ``Fraction`` arithmetic and
+``kernel_mod2_dense`` the Gauss-Jordan elimination over all n columns, as
+the references for the library's integer-only signature and its mod-2
+kernel.  Both take an ``IntMatrix`` and read only its dense entries, apart
+from the symmetry check the signature starts with.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from fractions import Fraction
+
+from linkimm.errors import NotSymmetric
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +461,131 @@ def smith_normal_form_dense(rows, nc):
     for i, di in enumerate(d):
         s[i][i] = di
     return s, tuple(row_steps), tuple(col_steps)
+
+
+# ---------------------------------------------------------------------------
+# Fraction signature and dense mod-2 kernel: the references for the
+# library's integer-only signature and its echelon-keyed kernel
+
+
+def signature_fraction(a) -> int:
+    """Signature of a symmetric integer matrix, by exact congruence.
+
+    Repeatedly splits off a 1x1 block at a nonzero diagonal pivot (Schur
+    complement over Q).  Whenever the remaining diagonal is identically
+    zero, the congruence e_i -> e_i + e_j at an entry A[i][j] != 0 gives
+    row i the diagonal 2*A[i][j] first.  Zero eigenvalues contribute
+    nothing, so singular forms are fine.  Raises NotSymmetric otherwise.
+
+    Each row is stored as a dict of its nonzero entries, so a pivot's fill
+    (the other rows it touches) is its row length less one, and a step
+    updates only the pivot's neighbours.  Pivots come from a heap keyed by
+    (fill, index): the least fill, ties to the lowest index.  On a tree a
+    leaf has fill 1 and is taken whenever its diagonal is nonzero, and its
+    step updates one row: the leaf elimination of Neumann's plumbing
+    calculus, linear up to the heap's log factor.
+    """
+    if not a.is_symmetric():
+        raise NotSymmetric("signature requires a symmetric matrix")
+    indices = range(a.rows)
+    rows = {}
+    for i in indices:
+        r = a.row(i)
+        rows[i] = {j: Fraction(r[j]) for j in itertools.compress(indices, r)}
+    heap = [(len(row) - 1, i) for i, row in rows.items() if i in row]
+    heapq.heapify(heap)
+    pos = neg = 0
+    while rows:
+        pivot = None
+        while heap:
+            fill, i = heapq.heappop(heap)
+            row = rows.get(i)
+            # entries go stale when a row is eliminated or changes; skip those
+            if row is not None and i in row and len(row) - 1 == fill:
+                pivot = i
+                break
+        if pivot is not None:
+            prow = rows.pop(pivot)
+            d = prow.pop(pivot)
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            for r, e in prow.items():
+                row = rows[r]
+                del row[pivot]
+                f = e / d
+                for c, x in prow.items():
+                    v = row.get(c, 0) - f * x
+                    if v:
+                        row[c] = v
+                    else:
+                        row.pop(c, None)
+                if r in row:
+                    heapq.heappush(heap, (len(row) - 1, r))
+            continue
+        # Whole remaining diagonal is zero: for some A[i][j] != 0 the
+        # congruence e_i -> e_i + e_j makes A[i][i] = 2*A[i][j] != 0, and
+        # the 1x1 step above takes row i next.
+        pair = next(((i, j) for i, row in rows.items() for j in row), None)
+        if pair is None:
+            break  # remaining block is zero
+        i, j = pair
+        irow = rows[i]
+        for c, x in rows[j].items():
+            if c != i:
+                v = irow.get(c, 0) + x
+                if v:
+                    irow[c] = rows[c][i] = v
+                else:
+                    irow.pop(c, None)
+                    rows[c].pop(i, None)
+        irow[i] = 2 * irow[j]
+        heapq.heappush(heap, (len(irow) - 1, i))
+    return pos - neg
+
+
+def kernel_mod2_dense(a) -> list:
+    """Basis of {x in Z_2^n : A x = 0 mod 2} for square A.
+
+    Gaussian elimination over GF(2) with rows held as int bitmasks; the
+    returned basis vectors are 0/1 tuples, one per free column.
+    """
+    if not a.is_square:
+        raise ValueError("kernel_mod2 requires a square matrix")
+    n = a.rows
+    rows = []
+    for i in range(n):
+        mask = 0
+        for j, e in enumerate(a.row(i)):
+            if e & 1:
+                mask |= 1 << j
+        rows.append(mask)
+
+    pivots = []
+    r = 0
+    for c in range(n):
+        sel = next((i for i in range(r, n) if rows[i] >> c & 1), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for i in range(n):
+            if i != r and rows[i] >> c & 1:
+                rows[i] ^= rows[r]
+        pivots.append(c)
+        r += 1
+
+    pivot_set = set(pivots)
+    basis = []
+    for f in range(n):
+        if f in pivot_set:
+            continue
+        vec = [0] * n
+        vec[f] = 1
+        for idx, p in enumerate(pivots):
+            vec[p] = rows[idx] >> f & 1
+        basis.append(tuple(vec))
+    return basis
 
 
 # ---------------------------------------------------------------------------

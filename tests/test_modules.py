@@ -17,3 +17,14 @@ def test_no_import_inside_a_function():
                 found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
                           if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert MODULES and not found
+
+
+def test_linalg_does_not_import_fractions():
+    # the signature runs on integer numerators over row denominators
+    tree = ast.parse((Path(linkimm.__file__).parent / "linalg.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "fractions" not in imported and "Fraction" not in {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names}
