@@ -189,15 +189,20 @@ def link_payload(label: DynkinLabel) -> dict:
     }
 
 
-def _cohomology_rows(a, h2, dec) -> tuple:
-    """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows.
-
-    Raises InvalidGraph when alpha exceeds MAX_ALPHA, before any listing.
-    """
+def _bounded(h2):
+    """h2 itself; InvalidGraph when its alpha exceeds MAX_ALPHA, before any listing."""
     alpha = h2.two_torsion_rank
     if alpha > MAX_ALPHA:
         raise InvalidGraph(f"alpha = {alpha} exceeds the limit {MAX_ALPHA}: "
                            f"Gamma_2(0) would list 2^{alpha} classes")
+    return h2
+
+
+def _cohomology_rows(a, h2, dec) -> tuple:
+    """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows.
+
+    ``h2`` is the group ``_bounded`` returned, so alpha is at most MAX_ALPHA.
+    """
     basis = kernel_mod2(a)
     return (
         [list(v) for v in basis],
@@ -209,8 +214,9 @@ def _cohomology_rows(a, h2, dec) -> tuple:
 
 def graph_payload(g: PlumbingGraph, source: str) -> dict:
     a = intersection_matrix(g)
-    h2 = link_first_homology(g)  # raises NotRationalHomologySphere when det = 0
+    h2 = _bounded(link_first_homology(g))  # raises NotRationalHomologySphere when det = 0
     dec = smith_normal_form(a)
+    u = dec.u  # the certificate's U, built first: the Bockstein rows are then read off it
     sigma = filling_signature(g)
     basis, torsion_square, bock_table = _cohomology_rows(a, h2, dec)
     value, integral = formal_smale_type(sigma, h2.two_torsion_rank)
@@ -223,7 +229,7 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
         "edges": g.edge_count,
         "intersection_matrix": a.to_rows(),
         "smith": {
-            "u": dec.u.to_rows(),
+            "u": u.to_rows(),
             "s": dec.s.to_rows(),
             "v": dec.v.to_rows(),
             "diagonal": list(dec.diagonal),
@@ -247,7 +253,7 @@ def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
     """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
     a = intersection_matrix(g)
     dec = smith_normal_form(a)
-    h2 = form_group(a, dec)  # raises NotRationalHomologySphere when det = 0
+    h2 = _bounded(form_group(a, dec))  # raises NotRationalHomologySphere when det = 0
     basis, torsion_square, bock_table = _cohomology_rows(a, h2, dec)
     label = recognize_dynkin(g)
     return {

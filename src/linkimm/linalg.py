@@ -10,13 +10,14 @@ tolerance anywhere.  The three workhorses are:
   runs on A alone, each row a dict of its nonzero entries, and logs its
   steps.  A row step reads the nonzeros of the pivot row, a column swap
   relabels two positions, a column step writes only the pivot row, and
-  the sign and divisibility steps only the diagonal.  U, V and any
+  the sign and divisibility steps only the diagonal.  The decomposition
+  keeps that diagonal and builds S from it on first read; U, V and any
   chosen rows of U or columns of V are read off the logs on first read,
   by one backward replay that touches only the chosen rows, so a caller
-  that needs only the diagonal (``cokernel``) builds no transform and
-  one that needs a few rows builds only those.  The decomposition is the
-  one place that reads coker A off the diagonal: its ``factors`` and
-  ``group``.
+  that needs only the diagonal (``cokernel``) builds neither S nor a
+  transform, and one that needs a few rows builds only those.  The
+  decomposition is the one place that reads coker A off the diagonal:
+  its ``factors`` and ``group``.
 * ``signature`` -- the signature of a symmetric form by fraction-free
   congruence (Schur-complement) elimination on sparse rows, one 1x1
   pivot at a time, each row held as integer numerators over one positive
@@ -27,8 +28,11 @@ tolerance anywhere.  The three workhorses are:
   reduced echelon form.
 
 Every one of them starts from ``IntMatrix.nonzero_rows``, one dict of
-nonzero entries per row, built once per matrix (and directly from the
-graph for an intersection form), so none scans the dense entries.
+nonzero entries per row, built once per matrix, so none scans the dense
+entries.  An intersection form is born with only those rows, built from
+the graph, and builds its n^2 dense entries only if something reads
+them (a certificate printing the matrix, say): the invariants of a
+Dynkin form allocate nothing of size n^2.
 
 Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
@@ -51,41 +55,62 @@ from dataclasses import dataclass, field
 from .errors import NotSymmetric
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix, row-major, arbitrary-precision entries.
 
-    The constructor stores the entries as a tuple of plain ints (bools
-    become 0/1) and raises ValueError on an entry of any other type.
+    A matrix has two views of the same entries: ``entries``, the dense
+    row-major tuple, and ``nonzero_rows``, one dict of nonzero entries per
+    row.  It is born with one of them and builds the other from it on
+    first read, then keeps it.  The constructor takes dense entries, stores
+    them as a tuple of plain ints (bools become 0/1) and raises ValueError
+    on an entry of any other type; a matrix born sparse (an intersection
+    form, say) builds its n^2 dense entries only when something reads
+    them: ``entries`` itself, ``to_rows``, indexing, ``@``, ``==``,
+    ``hash``, ``repr`` or ``str``.
     """
 
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        entries = tuple(self.entries)
+    def __init__(self, rows: int, cols: int, entries):
+        entries = tuple(entries)
         for e in entries:
             if not isinstance(e, int):
                 raise ValueError(f"non-integer entry {e!r}")
-        object.__setattr__(self, "entries", tuple(map(int, entries)))
-        if self.rows < 0 or self.cols < 0:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != self.rows * self.cols:
-            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(entries)}")
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        self.__dict__.update(rows=rows, cols=cols, entries=tuple(map(int, entries)))
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple, nonzero_rows=None) -> "IntMatrix":
-        """A matrix of entries the library computed itself: no per-entry check.
+    def _trusted(cls, rows: int, cols: int, entries=None, nonzero_rows=None) -> "IntMatrix":
+        """A matrix the library computed itself: no per-entry check.
 
-        A caller that already holds the sparse rows passes them as
-        ``nonzero_rows``, which then needs no scan of the entries.
+        It is given its dense ``entries``, its ``nonzero_rows`` or both;
+        a view it is not given is built from the other on first read.
         """
         m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        m.__dict__.update(rows=rows, cols=cols)
+        if entries is not None:
+            m.__dict__["entries"] = entries
         if nonzero_rows is not None:
             m.__dict__["nonzero_rows"] = nonzero_rows
         return m
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable matrix")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of an immutable matrix")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self):
+        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -122,11 +147,23 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
     @functools.cached_property
+    def entries(self) -> tuple:
+        """The dense row-major entries, built from ``nonzero_rows`` on first read."""
+        nc = self.cols
+        entries = [0] * (self.rows * nc)
+        for i, row in enumerate(self.nonzero_rows):
+            base = i * nc
+            for j, x in row.items():
+                entries[base + j] = x
+        return tuple(entries)
+
+    @functools.cached_property
     def nonzero_rows(self) -> tuple:
         """One dict {j: A[i, j]} of the nonzero entries of each row i.
 
-        Built once per matrix and shared by every reader: a caller copies
-        a dict before it changes it.
+        Built once per matrix, from ``entries`` unless the matrix was born
+        with it, and shared by every reader: a caller copies a dict before
+        it changes it.
         """
         nc, e = self.cols, self.entries
         rows = tuple([{} for _ in range(self.rows)])
@@ -149,6 +186,11 @@ class IntMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
+        return self._symmetric
+
+    @functools.cached_property
+    def _symmetric(self) -> bool:
+        """Whether A equals its transpose: one scan of ``nonzero_rows`` per matrix."""
         if not self.is_square:
             return False
         rows = self.nonzero_rows
@@ -170,37 +212,49 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """Unimodular U, V and diagonal S with U*A*V = S for the input A.
+    """Unimodular U, V and diagonal S with U*A*V = S for the rows x cols input A.
 
-    The elimination keeps S and a log of its row steps and of its column
-    steps.  U is the product of the row steps, and V^T that of the column
-    steps (a column step on V is logged as a row step on V^T).
-    ``_replay_rows`` reads any chosen rows of such a product off its log.
-    ``u`` and ``v`` ask it for every row, on first read; ``factor_rows``
-    asks for the rows of U at ``factors``, and ``v_columns`` for chosen
-    rows of V^T, the columns of V.  A caller that reads only ``s``,
-    ``diagonal``, ``factors`` or ``group`` never pays for a transform,
-    whose entries can run to hundreds of bits, and one that reads
-    ``factor_rows`` or ``v_columns`` pays only for those rows.  S is
-    built from the diagonal the elimination ends with.
+    The elimination keeps the diagonal of S it ends with, and a log of its
+    row steps and of its column steps.  U is the product of the row steps,
+    and V^T that of the column steps (a column step on V is logged as a
+    row step on V^T).  ``_replay_rows`` reads any chosen rows of such a
+    product off its log.  ``u`` and ``v`` ask it for every row, on first
+    read; ``factor_rows`` asks for the rows of U at ``factors`` (or slices
+    them out of U once U is built), and ``v_columns`` for chosen rows of
+    V^T, the columns of V.  ``s`` is built from the diagonal on first
+    read.  A caller that reads only ``diagonal``, ``factors`` or ``group``
+    never pays for S or a transform, whose entries can run to hundreds of
+    bits, and one that reads ``factor_rows`` or ``v_columns`` pays only
+    for those rows.
 
-    ``factors`` and ``group`` are the one reading of coker A off S; the
-    coordinate of the factor at position i is read through row i of U.
+    ``factors`` and ``group`` are the one reading of coker A off the
+    diagonal; the coordinate of the factor at position i is read through
+    row i of U.
     """
 
-    s: IntMatrix
+    rows: int
+    cols: int
+    diagonal: tuple
     row_steps: tuple = field(repr=False)
     col_steps: tuple = field(repr=False)
 
     @functools.cached_property
+    def s(self) -> IntMatrix:
+        nr, nc = self.rows, self.cols
+        entries = [0] * (nr * nc)
+        for i, d in enumerate(self.diagonal):
+            entries[i * nc + i] = d
+        return IntMatrix._trusted(nr, nc, tuple(entries))
+
+    @functools.cached_property
     def u(self) -> IntMatrix:
-        n = self.s.rows
+        n = self.rows
         rows = _replay_rows(n, self.row_steps, range(n))
         return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
 
     @functools.cached_property
     def v(self) -> IntMatrix:
-        n = self.s.cols
+        n = self.cols
         rows = zip(*_replay_rows(n, self.col_steps, range(n)))  # the replay builds V^T
         return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
 
@@ -208,27 +262,24 @@ class SmithDecomposition:
     def factor_rows(self) -> tuple:
         """Row i of U for each (i, d) in ``factors``, in order, as tuples."""
         picked = [i for i, _ in self.factors]
-        return tuple(map(tuple, _replay_rows(self.s.rows, self.row_steps, picked)))
+        if "u" in self.__dict__:
+            return tuple([self.u.row(i) for i in picked])
+        return tuple(map(tuple, _replay_rows(self.rows, self.row_steps, picked)))
 
     def v_columns(self, positions) -> list:
         """Column j of V for each j in ``positions``, in order, as lists."""
-        return _replay_rows(self.s.cols, self.col_steps, positions)
-
-    @property
-    def diagonal(self) -> tuple:
-        s = self.s
-        return s.entries[:: s.cols + 1][: min(s.rows, s.cols)]
+        return _replay_rows(self.cols, self.col_steps, positions)
 
     @functools.cached_property
     def factors(self) -> tuple:
         """(i, d) for each diagonal position i with d = S[i, i] > 1, in order."""
-        return tuple((i, d) for i, d in enumerate(self.diagonal) if d > 1)
+        return tuple([(i, d) for i, d in enumerate(self.diagonal) if d > 1])
 
     @functools.cached_property
     def group(self) -> "FinAbGroup":
         """coker A: one Z/d per factor and one free Z per zero or missing pivot."""
-        pivots = sum(1 for d in self.diagonal if d)
-        return FinAbGroup(self.s.rows - pivots, tuple(d for _, d in self.factors))
+        pivots = len(self.diagonal) - self.diagonal.count(0)
+        return FinAbGroup(self.rows - pivots, tuple([d for _, d in self.factors]))
 
 
 @dataclass(frozen=True)
@@ -381,12 +432,13 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     empty and rectangular ones.  Pivots are chosen with minimal absolute
     value to limit coefficient growth.  The elimination runs on A alone,
     each row held as a dict of its nonzero entries, and logs its steps; U
-    and V are built from the logs on first read (see
-    ``SmithDecomposition``).  A row step reads the nonzeros of the pivot
-    row, and a column swap exchanges two positions without touching a
-    row.  A column step follows a clean row pass, when column t is p*e_t,
-    so it changes the pivot row alone; after the loop A is diagonal, so
-    the sign and gcd/lcm steps change only the diagonal.
+    and V are built from the logs on first read, and S from the diagonal
+    the elimination ends with (see ``SmithDecomposition``).  A row step
+    reads the nonzeros of the pivot row, and a column swap exchanges two
+    positions without touching a row.  A column step follows a clean row
+    pass, when column t is p*e_t, so it changes the pivot row alone; after
+    the loop A is diagonal, so the sign and gcd/lcm steps change only the
+    diagonal.
     """
     nr, nc = a.rows, a.cols
     rows = [dict(r) for r in a.nonzero_rows]
@@ -484,14 +536,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 d[i], d[j] = g, di // g * dj
                 changed = True
 
-    entries = [0] * (nr * nc)
-    for i, di in enumerate(d):
-        entries[i * nc + i] = di
-    return SmithDecomposition(
-        IntMatrix._trusted(nr, nc, tuple(entries)),
-        tuple(row_steps),
-        tuple(col_steps),
-    )
+    return SmithDecomposition(nr, nc, tuple(d), tuple(row_steps), tuple(col_steps))
 
 
 def cokernel(a: IntMatrix) -> FinAbGroup:

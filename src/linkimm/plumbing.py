@@ -213,12 +213,13 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     """Symmetric intersection form of X(G), in the graph's vertex order.
 
-    The sparse rows (``IntMatrix.nonzero_rows``) are built first, from the
-    weights and edges, leaving out entries that cancel (a weight of 0,
-    multi-edges of opposite signs), and the matrix carries them, so no
-    reader scans its n^2 entries for the ~3n nonzeros of a tree.  The
-    graph stores every weight and sign as a checked plain int, so the
-    matrix skips the per-entry check.
+    The matrix is born with its sparse rows (``IntMatrix.nonzero_rows``),
+    built from the weights and edges, leaving out entries that cancel (a
+    weight of 0, multi-edges of opposite signs); its n^2 dense entries are
+    built only if something reads them, so a form whose readers all work
+    on the ~3n nonzeros of a tree never allocates them.  The graph stores
+    every weight and sign as a checked plain int, so the matrix skips the
+    per-entry check.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     n = g.vertex_count
@@ -232,11 +233,7 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
                 row[c] = v
             else:
                 del row[c]
-    entries = [0] * (n * n)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            entries[i * n + j] = x
-    return IntMatrix._trusted(n, n, tuple(entries), rows)
+    return IntMatrix._trusted(n, n, nonzero_rows=rows)
 
 
 def filling_signature(g: PlumbingGraph) -> int:

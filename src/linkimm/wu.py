@@ -62,9 +62,16 @@ class CohClass:
 
     def _reduce(self, coords):
         facs = self.parent.invariant_factors
-        torsion = tuple(int(c) % d for c, d in zip(coords, facs))
-        free = tuple(int(c) for c in coords[len(facs):])
-        return torsion + free
+        reduced = [int(c) % d for c, d in zip(coords, facs)]
+        reduced += [int(c) for c in coords[len(facs):]]
+        return tuple(reduced)
+
+    @classmethod
+    def _trusted(cls, parent: FinAbGroup, coords: tuple) -> "CohClass":
+        """A class whose coords are already a tuple of reduced plain ints: no check."""
+        c = object.__new__(cls)
+        c.__dict__.update(parent=parent, coords=coords)
+        return c
 
     @staticmethod
     def zero(parent: FinAbGroup) -> "CohClass":
@@ -113,7 +120,7 @@ class Z2Class:
     bits: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) % 2 for b in self.bits))
+        object.__setattr__(self, "bits", tuple([int(b) % 2 for b in self.bits]))
 
     @staticmethod
     def zero(n: int) -> "Z2Class":
@@ -152,7 +159,8 @@ def gamma2(group: FinAbGroup, chi: CohClass) -> list:
         else:
             half = (x // 2) % d
             per_factor.append(tuple(sorted((half, (half + d // 2) % d))))
-    return [CohClass(group, combo) for combo in itertools.product(*per_factor)]
+    # each per-factor solution is already reduced mod its factor
+    return [CohClass._trusted(group, combo) for combo in itertools.product(*per_factor)]
 
 
 def form_group(a: IntMatrix, smith: SmithDecomposition) -> FinAbGroup:

@@ -7,10 +7,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from linkimm import cli
+from linkimm import cli, linalg, wu
 from linkimm.cli import jsonable, main, parse_label
 from linkimm.errors import InvalidParameter, NotRationalHomologySphere
-from linkimm.linalg import cokernel, signature, smith_normal_form
+from linkimm.linalg import IntMatrix, cokernel, signature, smith_normal_form
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph, link_first_homology
 
 from oracles import random_tree_edges
@@ -280,6 +280,33 @@ class TestBocksteinCommand:
             cli.graph_payload(g, f"g{k}")
             assert len([d for d in decs if "u" in vars(d)]) == 1
             assert len([d for d in decs if "v" in vars(d)]) == 1
+
+    def test_graph_payload_replays_u_and_v_once(self, count_calls):
+        # U is built before the Bockstein rows, which are then read off it
+        replays = count_calls(linalg._replay_rows)
+        alphas = set()
+        for k, g in enumerate(self.corpus()):
+            del replays[:]
+            alphas.add(cli.graph_payload(g, f"g{k}")["alpha"])
+            assert len(replays) == 2
+        assert max(alphas) >= 3
+
+    def test_one_symmetry_scan_per_form(self, monkeypatch, count_calls):
+        scanned = []  # keeps every scanned matrix alive, so ids stay distinct
+        scan = IntMatrix.__dict__["_symmetric"]
+        original = scan.func
+
+        def counted(m):
+            scanned.append(m)
+            return original(m)
+
+        monkeypatch.setattr(scan, "func", counted)
+        bocksteins = count_calls(wu.bockstein)
+        for k, g in enumerate(self.corpus()):
+            del scanned[:], bocksteins[:]
+            if cli.graph_payload(g, f"g{k}")["alpha"] >= 3:
+                assert len(bocksteins) >= 3
+                assert len({id(m) for m in scanned}) == len(scanned)
 
     @pytest.mark.parametrize("command", ["graph", "bockstein"])
     def test_alpha_past_the_limit_exits_2(self, capsys, tmp_path, command):

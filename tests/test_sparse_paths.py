@@ -5,9 +5,12 @@
 give exactly what ``oracles.signature_fraction`` and
 ``oracles.kernel_mod2_dense`` give.  The rows that
 ``plumbing.intersection_matrix`` builds from the graph must equal the view
-read off its dense entries, and the sparse ``is_symmetric`` and the sliced
+read off its dense entries, and the sparse ``is_symmetric`` and the
 ``SmithDecomposition.diagonal`` must agree with their dense definitions.
-The benchmark's tree and star pools come from ``bench/workloads.py``.
+A matrix born sparse builds its dense entries, and a decomposition its S,
+only when something reads them, and then exactly the ones the code built
+eagerly before.  The benchmark's tree and star pools come from
+``bench/workloads.py``.
 """
 
 import random
@@ -15,20 +18,33 @@ import sys
 from pathlib import Path
 
 import pytest
-from linkimm.linalg import IntMatrix, SmithDecomposition, kernel_mod2, signature
+from linkimm import cli
+from linkimm.classify import table_row
+from linkimm.linalg import IntMatrix, SmithDecomposition, kernel_mod2, signature, smith_normal_form
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph, intersection_matrix
 
-from oracles import kernel_mod2_dense, random_matrix, random_symmetric, signature_fraction
+from oracles import (
+    kernel_mod2_dense,
+    random_matrix,
+    random_symmetric,
+    signature_fraction,
+    smith_normal_form_dense,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  (needs bench/ on the path)
 
 
 @pytest.fixture(scope="module")
-def pool_forms():
-    """The intersection forms of the tree_reports and torsion_stars pools at seed 1."""
-    graphs = workloads.TreeReports(1).graphs + workloads.TorsionStars(1).graphs
-    return [intersection_matrix(g) for g in graphs]
+def pool_graphs():
+    """The graphs of the tree_reports and torsion_stars pools at seed 1."""
+    return workloads.TreeReports(1).graphs + workloads.TorsionStars(1).graphs
+
+
+@pytest.fixture(scope="module")
+def pool_forms(pool_graphs):
+    """The intersection forms of the pool graphs."""
+    return [intersection_matrix(g) for g in pool_graphs]
 
 
 def dense(a: IntMatrix) -> IntMatrix:
@@ -164,6 +180,76 @@ def test_diagonal_slice_matches_the_entrywise_definition():
     rng = random.Random(8)
     shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (7, 3)]
     for rows, cols in shapes:
-        s = IntMatrix(rows, cols, [rng.randint(-9, 9) for _ in range(rows * cols)])
-        dec = SmithDecomposition(s, (), ())
+        diagonal = tuple(rng.randint(-9, 9) for _ in range(min(rows, cols)))
+        dec = SmithDecomposition(rows, cols, diagonal, (), ())
+        s = dec.s
         assert dec.diagonal == tuple(s[i, i] for i in range(min(rows, cols)))
+
+
+def ladder_graphs(pool_graphs):
+    """The pool trees and stars, A/D paths up to 400, weights of +-2^60, cancelling multi-edges."""
+    rng = random.Random(61)
+    big = 2 ** 60
+    sizes = list(range(2, 400, 23)) + [400]
+    graphs = list(pool_graphs)
+    graphs += [dynkin_graph(DynkinLabel("A", n + 1)) for n in sizes]
+    graphs += [dynkin_graph(DynkinLabel("D", n - 2)) for n in sizes if n >= 4]
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 15))
+        vertices = tuple((v, rng.choice((big, -big, w))) for v, w in g.vertices)
+        graphs += [g, PlumbingGraph(vertices, g.edges)]
+    return graphs
+
+
+def eager_rows(g):
+    """The intersection form of g as dense rows, summed entry by entry from weights and edges."""
+    index = {v: i for i, (v, _) in enumerate(g.vertices)}
+    n = g.vertex_count
+    rows = [[0] * n for _ in range(n)]
+    for i, (_, w) in enumerate(g.vertices):
+        rows[i][i] = w
+    for a, b, s in g.edges:
+        i, j = index[a], index[b]
+        rows[i][j] += s
+        rows[j][i] += s
+    return rows
+
+
+class TestDenseOnRead:
+    def test_dynkin_reports_build_no_dense_matrix(self, record_results):
+        forms = record_results(intersection_matrix)
+        decs = record_results(smith_normal_form)
+        for label in (DynkinLabel("A", 146), DynkinLabel("D", 144)):
+            table_row(label)
+            cli.link_payload(label)
+        assert forms and decs
+        assert not [a for a in forms if "entries" in vars(a)]
+        assert not [d for d in decs if {"s", "u", "v"} & vars(d).keys()]
+
+    def test_lazy_entries_equal_the_eager_ones(self, pool_graphs):
+        for g in ladder_graphs(pool_graphs):
+            rows = eager_rows(g)
+            eager = IntMatrix.from_rows(rows)
+            a = intersection_matrix(g)
+            assert "entries" not in vars(a)
+            assert a.to_rows() == rows
+            assert a.entries == eager.entries
+            b = intersection_matrix(g)  # this time == and hash build the entries
+            assert b == eager and hash(b) == hash(eager)
+            if g.vertex_count <= 15:
+                assert str(intersection_matrix(g)) == str(eager)
+
+    def test_lazy_s_equals_the_eager_one(self, pool_graphs):
+        rng = random.Random(62)
+        small = [IntMatrix.zero(r, c) for r, c in [(0, 0), (0, 3), (3, 0), (2, 0), (0, 2), (2, 3)]]
+        small += [IntMatrix.from_rows(random_matrix(rng, r, c)) for r in range(1, 7) for c in range(1, 7)]
+        for a in small:
+            s, _, _ = smith_normal_form_dense(a.to_rows(), a.cols)
+            assert smith_normal_form(a).s.to_rows() == s
+        for a in small + [intersection_matrix(g) for g in ladder_graphs(pool_graphs)]:
+            dec = smith_normal_form(a)
+            assert "s" not in vars(dec)
+            d = dec.diagonal
+            eager = IntMatrix(a.rows, a.cols,
+                              [d[i] if i == j else 0 for i in range(a.rows) for j in range(a.cols)])
+            assert dec.s == eager

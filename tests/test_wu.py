@@ -99,6 +99,31 @@ class TestGamma2:
                 assert sorted(s.coords for s in gamma2(g, chi)) == expected
 
 
+    def test_classes_equal_the_checked_constructor(self):
+        """Every divisibility chain over {2, 3, 4, 6, 8} with alpha <= 6, several chi each."""
+        rng = random.Random(23)
+        next_factors = {2: (2, 4, 6, 8), 3: (3, 6), 4: (4, 8), 6: (6,), 8: (8,)}
+        chains = [(d,) for d in next_factors]
+        groups = [FinAbGroup(0, ())]
+        while chains:
+            groups += [FinAbGroup(0, c) for c in chains]
+            chains = [c + (d,) for c in chains for d in next_factors[c[-1]]
+                      if len(c) < 6 and FinAbGroup(0, c + (d,)).two_torsion_rank <= 6]
+        assert max(g.two_torsion_rank for g in groups) == 6
+        for g in groups:
+            randoms = [tuple(rng.randrange(d) for d in g.invariant_factors) for _ in range(3)]
+            for coords in [(0,) * len(g.invariant_factors), *randoms,
+                           *[tuple(2 * c for c in r) for r in randoms]]:
+                chi = CohClass(g, coords)
+                per_factor = [[c for c in range(d) if (2 * c - x) % d == 0]
+                              for d, x in zip(g.invariant_factors, chi.coords)]
+                expected = [CohClass(g, combo) for combo in itertools.product(*per_factor)]
+                got = gamma2(g, chi)
+                assert got == expected, (g, chi)
+                assert all(type(c.coords) is tuple and hash(c) == hash(e)
+                           for c, e in zip(got, expected))
+
+
 class TestBockstein:
     def test_a1_generator(self):
         cls = bockstein(A1, smith_normal_form(A1), Z2Class((1,)))
