@@ -38,7 +38,6 @@ from .linalg import (
     IntMatrix,
     SmithDecomposition,
     cokernel,
-    determinant,
     kernel_mod2,
     signature,
     smith_normal_form,
@@ -46,7 +45,6 @@ from .linalg import (
 from .plumbing import (
     DynkinLabel,
     PlumbingGraph,
-    alpha,
     dynkin_graph,
     filling_euler_characteristic,
     filling_signature,

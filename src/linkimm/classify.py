@@ -14,7 +14,8 @@ and since the Dynkin intersection forms are negative definite the two
 agree: the immersions are regularly homotopic for every type.
 
 ``table_row`` computes H^2, sigma and alpha of a type's form once (one
-Smith form and one signature); ``classify_link_inclusion`` and
+Smith form and one signature), and chi of its filling from the same
+graph; ``classify_link_inclusion`` and
 ``classify_kinjo_pushforward`` read both classes off that row and run no
 linear algebra of their own.
 
@@ -29,7 +30,13 @@ from dataclasses import dataclass
 
 from .errors import HalfIntegerResult, IncomparableManifolds, NotTwoTorsion
 from .linalg import FinAbGroup
-from .plumbing import DynkinLabel, dynkin_graph, filling_signature, link_first_homology
+from .plumbing import (
+    DynkinLabel,
+    dynkin_graph,
+    filling_euler_characteristic,
+    filling_signature,
+    link_first_homology,
+)
 from .smale import smale_type_invariant
 from .wu import CohClass
 
@@ -59,13 +66,14 @@ class RegularHomotopyClass:
 
 @dataclass(frozen=True)
 class TableRow:
-    """The four computed columns for one singularity type."""
+    """The four computed columns for one singularity type, and chi of its filling."""
 
     label: DynkinLabel
     h2: FinAbGroup
     signature: int
     alpha: int
     smale_type: int
+    euler_characteristic: int
 
 
 def classify_link_inclusion(row: TableRow) -> RegularHomotopyClass:
@@ -115,6 +123,7 @@ def table_row(label: DynkinLabel) -> TableRow:
         signature=sig,
         alpha=a,
         smale_type=smale_type_invariant(sig, a),
+        euler_characteristic=filling_euler_characteristic(g),
     )
 
 

@@ -46,14 +46,19 @@ from .linalg import kernel_mod2, smith_normal_form
 from .plumbing import (
     DynkinLabel,
     PlumbingGraph,
-    dynkin_graph,
     filling_euler_characteristic,
     filling_signature,
     intersection_matrix,
     link_first_homology,
     recognize_dynkin,
 )
-from .smale import kinjo_smale, kinjo_smale_reversed, np_smale_invariant, pushforward_j
+from .smale import (
+    kinjo_smale,
+    kinjo_smale_reversed,
+    np_smale_invariant,
+    pushforward_j,
+    reverse_orientation,
+)
 from .wu import CohClass, Z2Class, bockstein, form_group, gamma2
 
 TABLE_LABELS = (
@@ -156,23 +161,22 @@ def table_payload(labels) -> list:
 
 def link_payload(label: DynkinLabel) -> dict:
     record = singularity_record(label)
-    g = dynkin_graph(label)
     row = table_row(label)
     inclusion = classify_link_inclusion(row)
     pushed = classify_kinjo_pushforward(row)
     smale_cover = kinjo_smale(label)
-    smale_cover_rev = kinjo_smale_reversed(label)
+    smale_cover_rev = reverse_orientation(smale_cover)
     np_value = np_smale_invariant(label)
     pushed_r5 = pushforward_j(smale_cover_rev)
     return label_payload(label) | {
         "germ": record.germ,
         "group": {"name": record.group_name, "order": record.group_order},
-        "vertices": g.vertex_count,
+        "vertices": label.vertex_count,
         "plumbing": {
             "h2": group_payload(row.h2),
             "signature": row.signature,
             "alpha": row.alpha,
-            "euler_characteristic": filling_euler_characteristic(g),
+            "euler_characteristic": row.euler_characteristic,
         },
         "link_inclusion": class_payload(inclusion),
         "kinjo_pushforward": class_payload(pushed),

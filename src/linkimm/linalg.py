@@ -544,35 +544,6 @@ def cokernel(a: IntMatrix) -> FinAbGroup:
     return smith_normal_form(a).group
 
 
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if not a.is_square:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = m[k][k]
-        for i in range(k + 1, n):
-            mik = m[i][k]
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pk - mik * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pk
-    return sign * m[n - 1][n - 1]
-
-
 def signature(a: IntMatrix) -> int:
     """Signature of a symmetric integer matrix, by fraction-free congruence.
 

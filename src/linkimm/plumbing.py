@@ -43,7 +43,7 @@ class DynkinLabel:
                 raise InvalidParameter(
                     f"family {self.family} needs an integer parameter n >= 2, got {self.parameter!r}"
                 )
-        elif self.parameter not in (6, 7, 8):
+        elif not isinstance(self.parameter, int) or self.parameter not in (6, 7, 8):
             raise InvalidParameter(f"family E needs parameter 6, 7, or 8, got {self.parameter!r}")
 
     @property
@@ -256,11 +256,6 @@ def link_first_homology(g: PlumbingGraph) -> FinAbGroup:
     if group.free_rank:
         raise NotRationalHomologySphere(group.free_rank)
     return group
-
-
-def alpha(g: PlumbingGraph) -> int:
-    """Number of even invariant factors of H_1(M(G)): dim of T (x) Z_2."""
-    return link_first_homology(g).two_torsion_rank
 
 
 def recognize_dynkin(g: PlumbingGraph):

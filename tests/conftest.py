@@ -1,6 +1,11 @@
 import sys
+from pathlib import Path
 
 import pytest
+
+# bench/ holds the benchmark's workload pools and its independent checker
+# (check.bareiss_det is the tests' determinant oracle)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 
 def _rebind(monkeypatch, fn, wrapper):

@@ -11,7 +11,14 @@ from linkimm.classify import (
 )
 from linkimm.errors import IncomparableManifolds, NotTwoTorsion
 from linkimm.linalg import FinAbGroup
-from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, filling_signature
+from linkimm.plumbing import (
+    DynkinLabel,
+    PlumbingGraph,
+    dynkin_graph,
+    filling_euler_characteristic,
+    filling_signature,
+    link_first_homology,
+)
 from linkimm.wu import CohClass
 
 ALL_LABELS = (
@@ -115,16 +122,21 @@ class TestTableRow:
             row = table_row(label)
             assert (row.signature - row.alpha) % 2 == 0
 
+    def test_euler_characteristic_is_the_graphs(self):
+        for label in ALL_LABELS:
+            row = table_row(label)
+            assert row.euler_characteristic == filling_euler_characteristic(dynkin_graph(label)), label
+
 
 class TestFormalSmaleType:
     def test_integral_case(self):
         g = PlumbingGraph.build([(0, -2)])
-        value, integral = formal_smale_type(filling_signature(g), alpha(g))
+        value, integral = formal_smale_type(filling_signature(g), link_first_homology(g).two_torsion_rank)
         assert integral and value == -3  # sigma = -1, alpha = 1
 
     def test_non_integral_case(self):
         # sigma = -1, alpha = 0: 3/2*(-1) is a half-integer
         g = PlumbingGraph.build([(0, -3)])
-        value, integral = formal_smale_type(filling_signature(g), alpha(g))
+        value, integral = formal_smale_type(filling_signature(g), link_first_homology(g).two_torsion_rank)
         assert not integral
         assert value == Fraction(-3, 2)

@@ -8,10 +8,12 @@ from fractions import Fraction
 
 import pytest
 from linkimm import cli, linalg, wu
+from linkimm.classify import table_row
 from linkimm.cli import jsonable, main, parse_label
 from linkimm.errors import InvalidParameter, NotRationalHomologySphere
 from linkimm.linalg import IntMatrix, cokernel, signature, smith_normal_form
-from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph, link_first_homology
+from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph, link_first_homology
+from linkimm.smale import kinjo_smale
 
 from oracles import random_tree_edges
 
@@ -229,7 +231,7 @@ class TestBocksteinCommand:
                           for a, b in random_tree_edges(rng, n)],
             })
             try:
-                a = alpha(g)
+                a = link_first_homology(g).two_torsion_rank
             except NotRationalHomologySphere:
                 continue
             if a in trees and len(trees[a]) < 2:
@@ -336,6 +338,27 @@ class TestOneAnalysisPerForm:
         sig = count_calls(signature)
         build(label)
         assert (len(snf), len(sig)) == (1, 1)
+
+    @pytest.mark.parametrize("label", [DynkinLabel("A", 2), DynkinLabel("D", 2), DynkinLabel("E", 6),
+                                       DynkinLabel("A", 146)], ids=str)
+    def test_link_report_builds_one_graph_and_one_kinjo_class(self, count_calls, label):
+        graphs = count_calls(dynkin_graph)
+        kinjo = count_calls(kinjo_smale)
+        cli.link_payload(label)
+        assert (len(graphs), len(kinjo)) == (1, 1)
+
+    def test_link_plumbing_section_is_the_table_row(self):
+        labels = cli.TABLE_LABELS + [DynkinLabel(f, n) for f in "AD" for n in range(2, 51)]
+        for label in labels:
+            row = table_row(label)
+            payload = cli.link_payload(label)
+            assert payload["vertices"] == dynkin_graph(label).vertex_count, label
+            assert payload["plumbing"] == {
+                "h2": cli.group_payload(row.h2),
+                "signature": row.signature,
+                "alpha": row.alpha,
+                "euler_characteristic": row.euler_characteristic,
+            }, label
 
 
 class TestSmale:

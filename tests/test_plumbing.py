@@ -3,11 +3,10 @@ import random
 
 import pytest
 from linkimm.errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere
-from linkimm.linalg import FinAbGroup, determinant, kernel_mod2
+from linkimm.linalg import FinAbGroup, kernel_mod2
 from linkimm.plumbing import (
     DynkinLabel,
     PlumbingGraph,
-    alpha,
     dynkin_graph,
     filling_euler_characteristic,
     filling_signature,
@@ -16,6 +15,7 @@ from linkimm.plumbing import (
     recognize_dynkin,
 )
 
+from check import bareiss_det
 from oracles import random_negative_definite_tree
 
 ALL_TABLE_LABELS = (
@@ -33,7 +33,8 @@ class TestDynkinLabel:
         assert DynkinLabel("D", 15).name == "D_17"
         assert DynkinLabel("E", 7).name == "E_7"
 
-    @pytest.mark.parametrize("family,param", [("A", 1), ("D", 1), ("D", 0), ("E", 5), ("E", 9), ("F", 4)])
+    @pytest.mark.parametrize("family,param", [("A", 1), ("D", 1), ("D", 0), ("E", 5), ("E", 9), ("F", 4),
+                                              ("A", 3.0), ("E", 6.0), ("E", True)])
     def test_rejects_invalid(self, family, param):
         with pytest.raises(InvalidParameter):
             DynkinLabel(family, param)
@@ -252,14 +253,14 @@ class TestLinkHomology:
             vertices, edges = random_negative_definite_tree(rng)
             g = PlumbingGraph.build(vertices, edges)
             group = link_first_homology(g)
-            assert group.order() == abs(determinant(intersection_matrix(g)))
+            assert group.order() == abs(bareiss_det(intersection_matrix(g).to_rows()))
 
 
 class TestAlpha:
     def test_examples(self):
-        assert alpha(dynkin_graph(DynkinLabel("A", 4))) == 1
-        assert alpha(dynkin_graph(DynkinLabel("D", 2))) == 2
-        assert alpha(dynkin_graph(DynkinLabel("E", 6))) == 0
+        assert link_first_homology(dynkin_graph(DynkinLabel("A", 4))).two_torsion_rank == 1
+        assert link_first_homology(dynkin_graph(DynkinLabel("D", 2))).two_torsion_rank == 2
+        assert link_first_homology(dynkin_graph(DynkinLabel("E", 6))).two_torsion_rank == 0
 
     def test_matches_mod2_kernel_dimension(self):
         rng = random.Random(6021023)
@@ -269,7 +270,7 @@ class TestAlpha:
             graphs.append(PlumbingGraph.build(vertices, edges))
         for g in graphs:
             a = intersection_matrix(g)
-            assert alpha(g) == len(kernel_mod2(a))
+            assert link_first_homology(g).two_torsion_rank == len(kernel_mod2(a))
 
 
 class TestRecognizeDynkin:

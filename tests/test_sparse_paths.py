@@ -14,8 +14,6 @@ eagerly before.  The benchmark's tree and star pools come from
 """
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 from linkimm import cli
@@ -23,6 +21,7 @@ from linkimm.classify import table_row
 from linkimm.linalg import IntMatrix, SmithDecomposition, kernel_mod2, signature, smith_normal_form
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph, intersection_matrix
 
+import workloads
 from oracles import (
     kernel_mod2_dense,
     random_matrix,
@@ -30,9 +29,6 @@ from oracles import (
     signature_fraction,
     smith_normal_form_dense,
 )
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
-import workloads  # noqa: E402  (needs bench/ on the path)
 
 
 @pytest.fixture(scope="module")

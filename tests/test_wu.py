@@ -11,7 +11,13 @@ from linkimm.errors import (
     NotTwoTorsion,
 )
 from linkimm.linalg import FinAbGroup, IntMatrix, cokernel, kernel_mod2, smith_normal_form
-from linkimm.plumbing import DynkinLabel, PlumbingGraph, alpha, dynkin_graph, intersection_matrix
+from linkimm.plumbing import (
+    DynkinLabel,
+    PlumbingGraph,
+    dynkin_graph,
+    intersection_matrix,
+    link_first_homology,
+)
 from linkimm.wu import CohClass, Z2Class, bockstein, gamma2, realize_parallelization, wu_switch
 
 from oracles import CosetGroup, random_negative_definite_tree
@@ -347,7 +353,7 @@ class TestRealizeParallelization:
             a = intersection_matrix(g)
             h = cokernel(a)
             targets = gamma2(h, CohClass.zero(h))
-            assert len(targets) == 2 ** alpha(g)
+            assert len(targets) == 2 ** link_first_homology(g).two_torsion_rank
             dec = smith_normal_form(a)
             hit = {bockstein(a, dec, realize_parallelization(a, t)).coords for t in targets}
             assert hit == {t.coords for t in targets}
