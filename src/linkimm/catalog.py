@@ -11,20 +11,18 @@ out of scope here, so the family formulas are stored, not recomputed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .plumbing import DynkinLabel
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SingularityRecord:
+class SingularityRecord(Record):
     """One row of the catalog; ``germ`` is display-only, never parsed."""
 
-    label: DynkinLabel
-    germ: str
-    group_name: str
-    group_order: int
-    np_smale: int
+    _fields = ("label", "germ", "group_name", "group_order", "np_smale")
+
+    def __init__(self, label: DynkinLabel, germ: str, group_name: str, group_order: int, np_smale: int):
+        self.__dict__.update(label=label, germ=germ, group_name=group_name,
+                             group_order=group_order, np_smale=np_smale)
 
 
 def singularity_record(label: DynkinLabel) -> SingularityRecord:

@@ -26,8 +26,6 @@ the formal value of the invariant pair, with no geometric claim attached
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import HalfIntegerResult, IncomparableManifolds, NotTwoTorsion
 from .linalg import FinAbGroup
 from .plumbing import (
@@ -37,14 +35,14 @@ from .plumbing import (
     filling_signature,
     link_first_homology,
 )
+from .record import Record
 from .smale import smale_type_invariant
 from .wu import CohClass
 
 ALMOST_CONTACT = "almost-contact"
 
 
-@dataclass(frozen=True)
-class RegularHomotopyClass:
+class RegularHomotopyClass(Record):
     """Complete invariant of an immersion M^3 -> R^5 with trivial normal bundle.
 
     The Wu class must be 2-torsion (the normal Euler class is twice it and
@@ -52,28 +50,26 @@ class RegularHomotopyClass:
     stated in.
     """
 
-    wu: CohClass
-    smale_type: int
-    parallelization_tag: str = ALMOST_CONTACT
+    _fields = ("wu", "smale_type", "parallelization_tag")
 
-    def __post_init__(self):
-        if not self.wu.is_two_torsion:
-            raise NotTwoTorsion(f"Wu class {self.wu} is not 2-torsion")
+    def __init__(self, wu: CohClass, smale_type: int, parallelization_tag: str = ALMOST_CONTACT):
+        if not wu.is_two_torsion:
+            raise NotTwoTorsion(f"Wu class {wu} is not 2-torsion")
+        self.__dict__.update(wu=wu, smale_type=smale_type, parallelization_tag=parallelization_tag)
 
     def __str__(self):
         return f"(wu = {self.wu}, i = {self.smale_type})"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     """The four computed columns for one singularity type, and chi of its filling."""
 
-    label: DynkinLabel
-    h2: FinAbGroup
-    signature: int
-    alpha: int
-    smale_type: int
-    euler_characteristic: int
+    _fields = ("label", "h2", "signature", "alpha", "smale_type", "euler_characteristic")
+
+    def __init__(self, label: DynkinLabel, h2: FinAbGroup, signature: int, alpha: int,
+                 smale_type: int, euler_characteristic: int):
+        self.__dict__.update(label=label, h2=h2, signature=signature, alpha=alpha,
+                             smale_type=smale_type, euler_characteristic=euler_characteristic)
 
 
 def classify_link_inclusion(row: TableRow) -> RegularHomotopyClass:

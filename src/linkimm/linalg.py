@@ -50,12 +50,12 @@ import functools
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .errors import NotSymmetric
+from .record import Record
 
 
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, row-major, arbitrary-precision entries.
 
     A matrix has two views of the same entries: ``entries``, the dense
@@ -68,6 +68,8 @@ class IntMatrix:
     them: ``entries`` itself, ``to_rows``, indexing, ``@``, ``==``,
     ``hash``, ``repr`` or ``str``.
     """
+
+    _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(entries)
@@ -94,23 +96,6 @@ class IntMatrix:
         if nonzero_rows is not None:
             m.__dict__["nonzero_rows"] = nonzero_rows
         return m
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an immutable matrix")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r} of an immutable matrix")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"IntMatrix(rows={self.rows!r}, cols={self.cols!r}, entries={self.entries!r})"
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -210,8 +195,7 @@ class IntMatrix:
         )
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """Unimodular U, V and diagonal S with U*A*V = S for the rows x cols input A.
 
     The elimination keeps the diagonal of S it ends with, and a log of its
@@ -232,11 +216,12 @@ class SmithDecomposition:
     row i of U.
     """
 
-    rows: int
-    cols: int
-    diagonal: tuple
-    row_steps: tuple = field(repr=False)
-    col_steps: tuple = field(repr=False)
+    _fields = ("rows", "cols", "diagonal", "row_steps", "col_steps")
+    _hidden = ("row_steps", "col_steps")
+
+    def __init__(self, rows: int, cols: int, diagonal: tuple, row_steps: tuple, col_steps: tuple):
+        self.__dict__.update(rows=rows, cols=cols, diagonal=diagonal,
+                             row_steps=row_steps, col_steps=col_steps)
 
     @functools.cached_property
     def s(self) -> IntMatrix:
@@ -282,8 +267,7 @@ class SmithDecomposition:
         return FinAbGroup(self.rows - pivots, tuple([d for _, d in self.factors]))
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """Finitely generated abelian group in invariant-factor coordinates.
 
     ``invariant_factors`` is the ascending divisibility chain d_1 | d_2 | ...
@@ -292,19 +276,19 @@ class FinAbGroup:
     of Z.
     """
 
-    free_rank: int = 0
-    invariant_factors: tuple = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int = 0, invariant_factors: tuple = ()):
+        if free_rank < 0:
             raise ValueError("negative free rank")
-        fs = self.invariant_factors
+        fs = invariant_factors
         for d in fs:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"invariant factor {d!r} must be an integer >= 2")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
+        self.__dict__.update(free_rank=free_rank, invariant_factors=invariant_factors)
 
     def order(self) -> int:
         """Order of the group; only defined when the free rank is zero."""

@@ -20,31 +20,29 @@ is D_{n+2} (n >= 2), and ``E`` takes parameter 6, 7, or 8 directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere
 from .linalg import FinAbGroup, IntMatrix, cokernel, signature
+from .record import Record
 
 FAMILIES = ("A", "D", "E")
 
 
-@dataclass(frozen=True)
-class DynkinLabel:
+class DynkinLabel(Record):
     """A simple-singularity type: family A, D, or E plus its parameter."""
 
-    family: str
-    parameter: int
+    _fields = ("family", "parameter")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidParameter(f"unknown family {self.family!r}, expected A, D, or E")
-        if self.family in ("A", "D"):
-            if not isinstance(self.parameter, int) or self.parameter < 2:
+    def __init__(self, family: str, parameter: int):
+        if family not in FAMILIES:
+            raise InvalidParameter(f"unknown family {family!r}, expected A, D, or E")
+        if family in ("A", "D"):
+            if not isinstance(parameter, int) or parameter < 2:
                 raise InvalidParameter(
-                    f"family {self.family} needs an integer parameter n >= 2, got {self.parameter!r}"
+                    f"family {family} needs an integer parameter n >= 2, got {parameter!r}"
                 )
-        elif not isinstance(self.parameter, int) or self.parameter not in (6, 7, 8):
-            raise InvalidParameter(f"family E needs parameter 6, 7, or 8, got {self.parameter!r}")
+        elif not isinstance(parameter, int) or parameter not in (6, 7, 8):
+            raise InvalidParameter(f"family E needs parameter 6, 7, or 8, got {parameter!r}")
+        self.__dict__.update(family=family, parameter=parameter)
 
     @property
     def vertex_count(self) -> int:
@@ -63,8 +61,7 @@ class DynkinLabel:
         return self.name
 
 
-@dataclass(frozen=True)
-class PlumbingGraph:
+class PlumbingGraph(Record):
     """Connected weighted graph: (id, euler weight) vertices, signed edges.
 
     Edge endpoints must be existing vertex ids, self-loops are rejected,
@@ -74,20 +71,19 @@ class PlumbingGraph:
     ``to_dict`` always parses back through ``from_dict``.
     """
 
-    vertices: tuple  # of (id, weight)
-    edges: tuple = ()  # of (id_a, id_b, sign)
+    _fields = ("vertices", "edges")  # of (id, weight); of (id_a, id_b, sign)
 
-    def __post_init__(self):
-        ids = [v for v, _ in self.vertices]
+    def __init__(self, vertices: tuple, edges: tuple = ()):
+        ids = [v for v, _ in vertices]
         if not ids:
             raise InvalidGraph("a plumbing graph needs at least one vertex")
         if len(set(ids)) != len(ids):
             raise InvalidGraph("duplicate vertex ids")
-        for v, w in self.vertices:
+        for v, w in vertices:
             if not isinstance(v, int) or not isinstance(w, int):
                 raise InvalidGraph(f"vertex ({v!r}, {w!r}) must be integer id and weight")
         known = set(ids)
-        for a, b, s in self.edges:
+        for a, b, s in edges:
             if a not in known or b not in known:
                 raise InvalidGraph(f"edge ({a}, {b}) references a missing vertex")
             if a == b:
@@ -97,8 +93,8 @@ class PlumbingGraph:
         # tuple() of a list, not of a generator: CPython resizes the latter,
         # and once freed it stays in the tuple free list until a full garbage
         # collection, so a long run of small graphs grows that list by megabytes
-        object.__setattr__(self, "vertices", tuple([(int(v), int(w)) for v, w in self.vertices]))
-        object.__setattr__(self, "edges", tuple([(int(a), int(b), int(s)) for a, b, s in self.edges]))
+        self.__dict__.update(vertices=tuple([(int(v), int(w)) for v, w in vertices]),
+                             edges=tuple([(int(a), int(b), int(s)) for a, b, s in edges]))
         if not self._is_connected():
             raise InvalidGraph("graph is not connected")
 

@@ -28,7 +28,6 @@ The closed-form invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import group_order, singularity_record
@@ -38,14 +37,16 @@ from .errors import (
     NotDivisibleBy4,
     NotUnit,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class SmaleClassR4:
+class SmaleClassR4(Record):
     """Element of pi_3(SO(4)): a is the sigma-component, b the rho-component."""
 
-    a: int
-    b: int
+    _fields = ("a", "b")
+
+    def __init__(self, a: int, b: int):
+        self.__dict__.update(a=a, b=b)
 
     def __add__(self, other: "SmaleClassR4") -> "SmaleClassR4":
         return SmaleClassR4(self.a + other.a, self.b + other.b)
@@ -60,11 +61,13 @@ class SmaleClassR4:
         return f"({self.a}, {self.b})"
 
 
-@dataclass(frozen=True)
-class SmaleClassR5:
+class SmaleClassR5(Record):
     """Element of pi_3(SO(5)) = Z."""
 
-    value: int
+    _fields = ("value",)
+
+    def __init__(self, value: int):
+        self.__dict__.update(value=value)
 
     def __add__(self, other: "SmaleClassR5") -> "SmaleClassR5":
         return SmaleClassR5(self.value + other.value)
@@ -79,14 +82,13 @@ class SmaleClassR5:
         return str(self.value)
 
 
-@dataclass(frozen=True)
-class Quaternion:
+class Quaternion(Record):
     """Quaternion with exact rational components (1, i, j, k coordinates)."""
 
-    r: Fraction
-    i: Fraction
-    j: Fraction
-    k: Fraction
+    _fields = ("r", "i", "j", "k")
+
+    def __init__(self, r: Fraction, i: Fraction, j: Fraction, k: Fraction):
+        self.__dict__.update(r=r, i=i, j=j, k=k)
 
     @staticmethod
     def of(r=0, i=0, j=0, k=0) -> "Quaternion":
@@ -136,15 +138,15 @@ QUAT_K = Quaternion.of(0, 0, 0, 1)
 _BASIS = (QUAT_ONE, QUAT_I, QUAT_J, QUAT_K)
 
 
-@dataclass(frozen=True)
-class RotationMatrix4:
+class RotationMatrix4(Record):
     """4x4 matrix with exact rational entries, stored as a tuple of rows."""
 
-    entries: tuple  # 4 rows of 4 Fractions
+    _fields = ("entries",)  # 4 rows of 4 Fractions
 
-    def __post_init__(self):
-        if len(self.entries) != 4 or any(len(r) != 4 for r in self.entries):
+    def __init__(self, entries: tuple):
+        if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("RotationMatrix4 needs 4x4 entries")
+        self.__dict__.update(entries=entries)
 
     @staticmethod
     def from_columns(cols) -> "RotationMatrix4":

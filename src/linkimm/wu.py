@@ -29,7 +29,6 @@ factors it needs (``SmithDecomposition.v_columns``).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     FreeRankUnsupported,
@@ -40,31 +39,36 @@ from .errors import (
     NotTwoTorsion,
 )
 from .linalg import FinAbGroup, IntMatrix, SmithDecomposition, smith_normal_form
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CohClass:
+def _check_ints(values):
+    """Raise ValueError on any value that is not an int, as ``IntMatrix`` does."""
+    for v in values:
+        if not isinstance(v, int):
+            raise ValueError(f"non-integer coordinate {v!r}")
+
+
+class CohClass(Record):
     """Element of a finitely generated abelian group, one coordinate per factor.
 
     ``coords`` holds one residue per invariant factor (already reduced)
     followed by one integer per free generator.  Equality is coordinate-wise
-    and requires structurally equal parent groups.
+    and requires structurally equal parent groups.  A coordinate must be an
+    int (a bool counts as 0/1); any other type raises ValueError.
     """
 
-    parent: FinAbGroup
-    coords: tuple
+    _fields = ("parent", "coords")
 
-    def __post_init__(self):
-        expected = len(self.parent.invariant_factors) + self.parent.free_rank
-        if len(self.coords) != expected:
-            raise ValueError(f"expected {expected} coordinates, got {len(self.coords)}")
-        object.__setattr__(self, "coords", self._reduce(self.coords))
-
-    def _reduce(self, coords):
-        facs = self.parent.invariant_factors
+    def __init__(self, parent: FinAbGroup, coords: tuple):
+        facs = parent.invariant_factors
+        expected = len(facs) + parent.free_rank
+        if len(coords) != expected:
+            raise ValueError(f"expected {expected} coordinates, got {len(coords)}")
+        _check_ints(coords)
         reduced = [int(c) % d for c, d in zip(coords, facs)]
         reduced += [int(c) for c in coords[len(facs):]]
-        return tuple(reduced)
+        self.__dict__.update(parent=parent, coords=tuple(reduced))
 
     @classmethod
     def _trusted(cls, parent: FinAbGroup, coords: tuple) -> "CohClass":
@@ -108,19 +112,20 @@ class CohClass:
         return "(" + ", ".join(str(c) for c in self.coords) + f") in {self.parent}"
 
 
-@dataclass(frozen=True)
-class Z2Class:
+class Z2Class(Record):
     """A mod-2 cochain: 0/1 vector of length n.
 
     Instances meant to represent H^1(M; Z_2) classes must lie in the mod-2
     kernel of the intersection form; the operations that consume them
-    check that and raise NotACocycle otherwise.
+    check that and raise NotACocycle otherwise.  A bit must be an int, taken
+    mod 2 (a bool counts as 0/1); any other type raises ValueError.
     """
 
-    bits: tuple
+    _fields = ("bits",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple([int(b) % 2 for b in self.bits]))
+    def __init__(self, bits: tuple):
+        _check_ints(bits)
+        self.__dict__.update(bits=tuple([int(b) % 2 for b in bits]))
 
     @staticmethod
     def zero(n: int) -> "Z2Class":

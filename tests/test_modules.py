@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import linkimm
@@ -28,3 +31,26 @@ def test_linalg_does_not_import_fractions():
     assert "fractions" not in imported and "Fraction" not in {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names}
+
+
+def test_no_module_imports_dataclasses():
+    # records share linkimm.record; dataclasses would load inspect, ast,
+    # dis and tokenize into every process
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name and name.split(".")[0] == "dataclasses"]
+    assert not found
+
+
+def test_cli_import_loads_no_introspection_modules():
+    code = ("import sys, linkimm.cli; print(' '.join(sorted(m for m in "
+            "('dataclasses', 'inspect', 'ast', 'dis', 'tokenize') if m in sys.modules)))")
+    src = str(Path(linkimm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from linkimm.errors import (
@@ -64,6 +65,22 @@ class TestCohClass:
         g = FinAbGroup(0, (4,))
         assert CohClass(g, (2,)).is_two_torsion
         assert not CohClass(g, (1,)).is_two_torsion
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(2), None])
+    def test_non_integer_coordinates_raise(self, bad):
+        # as for IntMatrix entries: ints only, never a silent int() coercion
+        with pytest.raises(ValueError):
+            CohClass(FinAbGroup(0, (4,)), (bad,))
+        with pytest.raises(ValueError):
+            CohClass(FinAbGroup(1, ()), (bad,))
+        with pytest.raises(ValueError):
+            Z2Class((1, bad, 0))
+
+    def test_bool_coordinates_become_ints(self):
+        c = CohClass(FinAbGroup(1, (4,)), (True, False))
+        assert c.coords == (1, 0) and all(type(x) is int for x in c.coords)
+        z = Z2Class((True, False, 3))
+        assert z.bits == (1, 0, 1) and all(type(x) is int for x in z.bits)
 
 
 class TestGamma2:
