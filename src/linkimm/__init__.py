@@ -7,7 +7,7 @@ sphere immersions into 4- and 5-space, and all the homological data of
 plumbing graphs these are built from.  See the README for the CLI.
 """
 
-from .catalog import SingularityRecord, group_order, singularity_record
+from .catalog import SingularityRecord, singularity_record
 from .classify import (
     RegularHomotopyClass,
     TableRow,

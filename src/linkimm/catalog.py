@@ -49,8 +49,3 @@ def singularity_record(label: DynkinLabel) -> SingularityRecord:
         8: ("x^2 + y^3 + z^5", "2I (binary icosahedral)", 120, -1079),
     }[n]
     return SingularityRecord(label, germ, name, order, smale)
-
-
-def group_order(label: DynkinLabel) -> int:
-    """Order of the SU(2) subgroup: n, 4n, 24, 48, 120 by family."""
-    return singularity_record(label).group_order

@@ -37,11 +37,10 @@ Dynkin form allocate nothing of size n^2.
 Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
 
-Matrices built from outside input (``IntMatrix(...)``, ``from_rows``,
-``diagonal``) have every entry checked to be an int by the constructor;
-matrices the library computes itself (S, U, V, ``@``, and
-the intersection form of an already checked plumbing graph) skip that
-check.
+Matrices built from outside input (``IntMatrix(...)``, ``from_rows``)
+have their shape and every entry checked to be ints by the constructor;
+matrices the library computes itself (S, U, V and the intersection form
+of an already checked plumbing graph) skip that check.
 """
 
 from __future__ import annotations
@@ -63,10 +62,10 @@ class IntMatrix(Record):
     row.  It is born with one of them and builds the other from it on
     first read, then keeps it.  The constructor takes dense entries, stores
     them as a tuple of plain ints (bools become 0/1) and raises ValueError
-    on an entry of any other type; a matrix born sparse (an intersection
-    form, say) builds its n^2 dense entries only when something reads
-    them: ``entries`` itself, ``to_rows``, indexing, ``@``, ``==``,
-    ``hash``, ``repr`` or ``str``.
+    on an entry of any other type, or on a shape that is not two ints
+    >= 0; a matrix born sparse (an intersection form, say) builds its n^2
+    dense entries only when something reads them: ``entries`` itself,
+    ``row``, ``to_rows``, indexing, ``==``, ``hash``, ``repr`` or ``str``.
     """
 
     _fields = ("rows", "cols", "entries")
@@ -76,8 +75,9 @@ class IntMatrix(Record):
         for e in entries:
             if not isinstance(e, int):
                 raise ValueError(f"non-integer entry {e!r}")
-        if rows < 0 or cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
+        for dim in (rows, cols):
+            if not isinstance(dim, int) or dim < 0:
+                raise ValueError(f"matrix dimension {dim!r} must be an integer >= 0")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.__dict__.update(rows=rows, cols=cols, entries=tuple(map(int, entries)))
@@ -106,16 +106,6 @@ class IntMatrix(Record):
             raise ValueError("ragged rows")
         return IntMatrix(nr, nc, [x for r in rows for x in r])
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, (0,) * (rows * cols))
-
-    @staticmethod
-    def diagonal(values) -> "IntMatrix":
-        values = tuple(values)
-        n = len(values)
-        return IntMatrix(n, n, [values[i] if i == j else 0 for i in range(n) for j in range(n)])
-
     def __getitem__(self, ij) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -124,9 +114,6 @@ class IntMatrix(Record):
 
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple:
-        return self.entries[j :: self.cols] if self.cols else ()
 
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -155,16 +142,6 @@ class IntMatrix(Record):
         for k in itertools.compress(range(len(e)), e):
             rows[k // nc][k % nc] = e[k]
         return rows
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in matrix product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entries[k * other.cols + j] for k in range(self.cols)))
-        return IntMatrix._trusted(self.rows, other.cols, tuple(out))
 
     @property
     def is_square(self) -> bool:
@@ -271,24 +248,25 @@ class FinAbGroup(Record):
     """Finitely generated abelian group in invariant-factor coordinates.
 
     ``invariant_factors`` is the ascending divisibility chain d_1 | d_2 | ...
-    with every d_i >= 2; unit factors are never stored.  The torsion
-    subgroup is the direct sum of Z/d_i, preceded by ``free_rank`` copies
-    of Z.
+    with every d_i >= 2, stored as a tuple; unit factors are never stored.
+    The torsion subgroup is the direct sum of Z/d_i, preceded by
+    ``free_rank`` copies of Z.  A free rank or factor that is not an int
+    raises ValueError.
     """
 
     _fields = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int = 0, invariant_factors: tuple = ()):
-        if free_rank < 0:
-            raise ValueError("negative free rank")
-        fs = invariant_factors
+        if not isinstance(free_rank, int) or free_rank < 0:
+            raise ValueError(f"free rank {free_rank!r} must be an integer >= 0")
+        fs = tuple(invariant_factors)
         for d in fs:
             if not isinstance(d, int) or d < 2:
                 raise ValueError(f"invariant factor {d!r} must be an integer >= 2")
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
-        self.__dict__.update(free_rank=free_rank, invariant_factors=invariant_factors)
+        self.__dict__.update(free_rank=free_rank, invariant_factors=fs)
 
     def order(self) -> int:
         """Order of the group; only defined when the free rank is zero."""
@@ -300,12 +278,6 @@ class FinAbGroup(Record):
     def two_torsion_rank(self) -> int:
         """dim of (torsion tensor Z_2): the number of even invariant factors."""
         return sum(1 for d in self.invariant_factors if d % 2 == 0)
-
-    def torsion_elements(self):
-        """Iterate coordinate tuples of all torsion elements (free rank 0 only)."""
-        if self.free_rank:
-            raise ValueError("cannot enumerate a group of positive free rank")
-        yield from itertools.product(*(range(d) for d in self.invariant_factors))
 
     def __str__(self):
         parts = []

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .catalog import group_order, singularity_record
+from .catalog import singularity_record
 from .errors import (
     ConsistencyViolation,
     HalfIntegerResult,
@@ -290,11 +290,12 @@ def kinjo_smale(label) -> SmaleClassR4:
     The sigma component is (covering degree) * chi(X(G)) - 1, i.e.
     #Gamma * (1 + #V) - 1; the rho component is forced by the published
     R^5 value through the pushforward law and must come out 0, which is
-    asserted rather than assumed.
+    asserted rather than assumed.  Both constants come from one catalog
+    record.
     """
-    a = group_order(label) * (1 + label.vertex_count) - 1
-    published = np_smale_invariant(label).value
-    twice_b = -published - a
+    record = singularity_record(label)
+    a = record.group_order * (1 + label.vertex_count) - 1
+    twice_b = -record.np_smale - a
     if twice_b % 2:
         raise ConsistencyViolation(
             f"{label}: rho component {Fraction(twice_b, 2)} is not an integer"

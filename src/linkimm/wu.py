@@ -81,19 +81,10 @@ class CohClass(Record):
     def zero(parent: FinAbGroup) -> "CohClass":
         return CohClass(parent, (0,) * (len(parent.invariant_factors) + parent.free_rank))
 
-    def _check_parent(self, other: "CohClass"):
+    def __add__(self, other: "CohClass") -> "CohClass":
         if self.parent != other.parent:
             raise ValueError(f"mismatched parent groups {self.parent} and {other.parent}")
-
-    def __add__(self, other: "CohClass") -> "CohClass":
-        self._check_parent(other)
         return CohClass(self.parent, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "CohClass":
-        return CohClass(self.parent, tuple(-c for c in self.coords))
-
-    def __sub__(self, other: "CohClass") -> "CohClass":
-        return self + (-other)
 
     def __mul__(self, scalar: int) -> "CohClass":
         return CohClass(self.parent, tuple(scalar * c for c in self.coords))
@@ -124,17 +115,9 @@ class Z2Class(Record):
     _fields = ("bits",)
 
     def __init__(self, bits: tuple):
+        bits = tuple(bits)
         _check_ints(bits)
         self.__dict__.update(bits=tuple([int(b) % 2 for b in bits]))
-
-    @staticmethod
-    def zero(n: int) -> "Z2Class":
-        return Z2Class((0,) * n)
-
-    def __add__(self, other: "Z2Class") -> "Z2Class":
-        if len(self.bits) != len(other.bits):
-            raise ValueError("length mismatch")
-        return Z2Class(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
 
     @property
     def is_zero(self) -> bool:

@@ -1,4 +1,4 @@
-from linkimm.catalog import group_order, singularity_record
+from linkimm.catalog import singularity_record
 from linkimm.plumbing import DynkinLabel, dynkin_graph
 from linkimm.smale import SmaleClassR5, np_smale_invariant
 
@@ -10,11 +10,11 @@ ALL_LABELS = (
 
 
 def test_group_orders():
-    assert group_order(DynkinLabel("A", 5)) == 5
-    assert group_order(DynkinLabel("D", 2)) == 8
-    assert group_order(DynkinLabel("E", 6)) == 24
-    assert group_order(DynkinLabel("E", 7)) == 48
-    assert group_order(DynkinLabel("E", 8)) == 120
+    assert singularity_record(DynkinLabel("A", 5)).group_order == 5
+    assert singularity_record(DynkinLabel("D", 2)).group_order == 8
+    assert singularity_record(DynkinLabel("E", 6)).group_order == 24
+    assert singularity_record(DynkinLabel("E", 7)).group_order == 48
+    assert singularity_record(DynkinLabel("E", 8)).group_order == 120
 
 
 def test_np_values():
@@ -37,6 +37,6 @@ def test_records_are_self_consistent():
 def test_np_equals_negated_degree_formula():
     # The published R^5 value must equal -(#Gamma*(1 + #V) - 1) for every label.
     for label in ALL_LABELS:
-        order = group_order(label)
+        order = singularity_record(label).group_order
         verts = dynkin_graph(label).vertex_count
         assert np_smale_invariant(label).value == -(order * (1 + verts) - 1)

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from linkimm import cli, linalg, wu
+from linkimm.catalog import singularity_record
 from linkimm.classify import table_row
 from linkimm.cli import jsonable, main, parse_label
 from linkimm.errors import InvalidParameter, NotRationalHomologySphere
@@ -44,7 +45,8 @@ class TestParseLabel:
         assert parse_label(["e7"]) == DynkinLabel("E", 7)
         assert parse_label(["E", "8"]) == DynkinLabel("E", 8)
 
-    @pytest.mark.parametrize("words", [["A2"], ["E"], ["A", "x"], ["Q", "3"], ["E", "9"], ["A", "1"]])
+    @pytest.mark.parametrize("words", [["A2"], ["E"], ["A", "x"], ["Q", "3"], ["E", "9"], ["A", "1"],
+                                       ["A", "²"], ["E²"], ["A", "--3"]])
     def test_rejects(self, words):
         with pytest.raises(InvalidParameter):
             parse_label(words)
@@ -106,6 +108,8 @@ class TestLink:
         code, _, err = run(capsys, "link", "E", "9")
         assert code == 2
         assert "error" in err
+        # a digit that str.isdigit accepts and int() rejects
+        assert main(["link", "A", "²"]) == 2
 
     def test_label_echo_prevents_off_by_one(self, capsys):
         doc = run_json(capsys, "link", "D", "2", "--format", "json")
@@ -346,6 +350,14 @@ class TestOneAnalysisPerForm:
         kinjo = count_calls(kinjo_smale)
         cli.link_payload(label)
         assert (len(graphs), len(kinjo)) == (1, 1)
+
+    def test_kinjo_class_reads_the_catalog_once(self, count_calls):
+        records = count_calls(singularity_record)
+        kinjo_smale(DynkinLabel("D", 7))
+        assert len(records) == 1
+        records.clear()
+        cli.link_payload(DynkinLabel("D", 7))
+        assert len(records) == 3  # the report's own record, kinjo_smale and np_smale_invariant
 
     def test_link_plumbing_section_is_the_table_row(self):
         labels = cli.TABLE_LABELS + [DynkinLabel(f, n) for f in "AD" for n in range(2, 51)]

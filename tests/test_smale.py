@@ -225,13 +225,20 @@ class TestKinjoClasses:
 
     def test_consistency_guard_on_corrupt_catalog(self, monkeypatch):
         import linkimm.smale as smale
+        from linkimm.catalog import SingularityRecord
+
+        e6 = smale.singularity_record(DynkinLabel("E", 6))
+
+        def corrupt(np_smale):
+            monkeypatch.setattr(smale, "singularity_record", lambda label: SingularityRecord(
+                label, e6.germ, e6.group_name, e6.group_order, np_smale))
 
         # odd mismatch: rho component would be half-integral
-        monkeypatch.setattr(smale, "np_smale_invariant", lambda label: SmaleClassR5(0))
+        corrupt(0)
         with pytest.raises(ConsistencyViolation):
             kinjo_smale(DynkinLabel("E", 6))
         # even mismatch: rho component would be a nonzero integer
-        monkeypatch.setattr(smale, "np_smale_invariant", lambda label: SmaleClassR5(-165))
+        corrupt(-165)
         with pytest.raises(ConsistencyViolation):
             kinjo_smale(DynkinLabel("E", 6))
 

@@ -128,8 +128,8 @@ class TestNonzeroRows:
     def test_view_of_the_dense_entries(self):
         a = IntMatrix.from_rows([[0, 3, 0], [-1, 0, 0]])
         assert a.nonzero_rows == ({1: 3}, {0: -1})
-        assert IntMatrix.zero(0, 4).nonzero_rows == ()
-        assert IntMatrix.zero(2, 0).nonzero_rows == ({}, {})
+        assert IntMatrix(0, 4, []).nonzero_rows == ()
+        assert IntMatrix(2, 0, []).nonzero_rows == ({}, {})
 
     def test_readers_leave_the_view_unchanged(self, pool_forms):
         for a in pool_forms[:40]:
@@ -147,7 +147,7 @@ def test_is_symmetric_matches_the_dense_slices():
         return all(e[i * n : (i + 1) * n] == e[i::n] for i in range(n))
 
     rng = random.Random(13)
-    cases = [IntMatrix.zero(0, 0), IntMatrix.zero(0, 3), IntMatrix.zero(3, 0),
+    cases = [IntMatrix(0, 0, []), IntMatrix(0, 3, []), IntMatrix(3, 0, []),
              IntMatrix.from_rows([[1, 0], [2, 1]]), IntMatrix.from_rows([[1, 2], [0, 1]]),
              IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])]
     for _ in range(300):
@@ -237,7 +237,7 @@ class TestDenseOnRead:
 
     def test_lazy_s_equals_the_eager_one(self, pool_graphs):
         rng = random.Random(62)
-        small = [IntMatrix.zero(r, c) for r, c in [(0, 0), (0, 3), (3, 0), (2, 0), (0, 2), (2, 3)]]
+        small = [IntMatrix(r, c, [0] * (r * c)) for r, c in [(0, 0), (0, 3), (3, 0), (2, 0), (0, 2), (2, 3)]]
         small += [IntMatrix.from_rows(random_matrix(rng, r, c)) for r in range(1, 7) for c in range(1, 7)]
         for a in small:
             s, _, _ = smith_normal_form_dense(a.to_rows(), a.cols)
