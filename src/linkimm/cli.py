@@ -77,19 +77,27 @@ MAX_ALPHA = 16
 # label parsing
 
 
+def _parameter(digits: str) -> int:
+    """The int of a label's decimal digits; past int()'s digit limit, InvalidParameter."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise InvalidParameter(f"label parameter of {len(digits)} characters is too long") from None
+
+
 def parse_label(words) -> DynkinLabel:
     """Parse CLI label words: 'A n', 'D n', 'E n', or joined 'E6'/'E7'/'E8'."""
     if len(words) == 1:
         word = words[0].upper()
         if len(word) >= 2 and word[0] == "E" and word[1:].isdecimal():
-            return DynkinLabel("E", int(word[1:]))
+            return DynkinLabel("E", _parameter(word[1:]))
         raise InvalidParameter(
             f"cannot parse label {words[0]!r}: expected 'A n', 'D n', 'E n', or 'E6'/'E7'/'E8'"
         )
     if len(words) == 2:
         family = words[0].upper()
         if family in ("A", "D", "E") and words[1].removeprefix("-").isdecimal():
-            return DynkinLabel(family, int(words[1]))
+            return DynkinLabel(family, _parameter(words[1]))
     raise InvalidParameter(f"cannot parse label {' '.join(words)!r}")
 
 

@@ -8,15 +8,17 @@ tolerance anywhere.  The three workhorses are:
   diagonal, nonnegative, and divisibility-chained; this presents the
   cokernel Z^rows / A*Z^cols of any integer matrix.  The elimination
   runs on A alone, each row a dict of its nonzero entries, and logs its
-  steps.  A row step reads the nonzeros of the pivot row, a column swap
-  relabels two positions, a column step writes only the pivot row, and
-  the sign and divisibility steps only the diagonal.  The decomposition
-  keeps that diagonal and builds S from it on first read; U, V and any
-  chosen rows of U or columns of V are read off the logs on first read,
-  by one backward replay that touches only the chosen rows, so a caller
-  that needs only the diagonal (``cokernel``) builds neither S nor a
-  transform, and one that needs a few rows builds only those.  The
-  decomposition is the one place that reads coker A off the diagonal:
+  steps.  The row pass visits only the rows up to the last one that can
+  hold the pivot column, a row step reads the nonzeros of the pivot row,
+  a column swap relabels two positions, a column step writes only the
+  pivot row, and the sign and divisibility steps only the diagonal, so a
+  path or a Dynkin form is reduced in time linear in its size.  The
+  decomposition keeps that diagonal and builds S from it on first read;
+  U, V and any chosen rows of U or columns of V are read off the logs on
+  first read, by one backward replay that touches only the chosen rows,
+  so a caller that needs only the diagonal (``cokernel``) builds neither
+  S nor a transform, and one that needs a few rows builds only those.
+  The decomposition is the one place that reads coker A off the diagonal:
   its ``factors`` and ``group``.
 * ``signature`` -- the signature of a symmetric form by fraction-free
   congruence (Schur-complement) elimination on sparse rows, one 1x1
@@ -83,11 +85,14 @@ class IntMatrix(Record):
         self.__dict__.update(rows=rows, cols=cols, entries=tuple(map(int, entries)))
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries=None, nonzero_rows=None) -> "IntMatrix":
+    def _trusted(cls, rows: int, cols: int, entries=None, nonzero_rows=None,
+                 symmetric=False) -> "IntMatrix":
         """A matrix the library computed itself: no per-entry check.
 
         It is given its dense ``entries``, its ``nonzero_rows`` or both;
         a view it is not given is built from the other on first read.
+        ``symmetric=True`` states that the matrix equals its transpose (an
+        intersection form, say), so ``is_symmetric`` never scans it.
         """
         m = object.__new__(cls)
         m.__dict__.update(rows=rows, cols=cols)
@@ -95,6 +100,8 @@ class IntMatrix(Record):
             m.__dict__["entries"] = entries
         if nonzero_rows is not None:
             m.__dict__["nonzero_rows"] = nonzero_rows
+        if symmetric:
+            m.__dict__["_symmetric"] = True
         return m
 
     @staticmethod
@@ -152,7 +159,11 @@ class IntMatrix(Record):
 
     @functools.cached_property
     def _symmetric(self) -> bool:
-        """Whether A equals its transpose: one scan of ``nonzero_rows`` per matrix."""
+        """Whether A equals its transpose: one scan of ``nonzero_rows`` per matrix.
+
+        A matrix born symmetric (``_trusted(..., symmetric=True)``) holds
+        the answer from the start and is never scanned.
+        """
         if not self.is_square:
             return False
         rows = self.nonzero_rows
@@ -395,6 +406,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     pass, when column t is p*e_t, so it changes the pivot row alone; after
     the loop A is diagonal, so the sign and gcd/lcm steps change only the
     diagonal.
+
+    The row pass clears the pivot column below the pivot.  It visits rows
+    t+1 .. ``last[c]`` only, where ``last[c]`` bounds the index of the last
+    row holding column key c.  A row step raises the bound of each key it
+    writes that is new to its row, and the pivot swap that of each key of
+    the row it moves down; nothing else adds a key to a row, so the bound
+    holds, and the rows past it, which hold nothing in column c, are
+    never visited.  The steps logged are those of a pass over every row.
     """
     nr, nc = a.rows, a.cols
     rows = [dict(r) for r in a.nonzero_rows]
@@ -405,6 +424,11 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     # Row steps act on U, column steps on V; a column step on V is logged
     # as the same row step on V^T.
     row_steps, col_steps = [], []
+    # last[c] >= the index of the last row holding column key c (see above)
+    last = [-1] * nc
+    for i, row in enumerate(rows):
+        for k in row:
+            last[k] = i
 
     t = 0
     limit = min(nr, nc)
@@ -415,6 +439,9 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         while True:
             i, c = found
             if i != t:
+                for k in rows[t]:  # row t moves down to row i
+                    if last[k] < i:
+                        last[k] = i
                 rows[t], rows[i] = rows[i], rows[t]
                 row_steps.append(("swap", t, i, None))
             j = pos[c]
@@ -426,17 +453,23 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             mt = rows[t]
             p = mt[c]
             dirty = False
-            for i in range(t + 1, nr):
+            for i in range(t + 1, last[c] + 1):
                 ri = rows[i]
                 if c in ri:
                     q = ri[c] // p
                     if q:
                         for k, x in mt.items():
-                            v = ri.get(k, 0) - q * x
-                            if v:
-                                ri[k] = v
+                            v = ri.get(k)
+                            if v is None:
+                                ri[k] = -q * x
+                                if last[k] < i:
+                                    last[k] = i
                             else:
-                                del ri[k]
+                                v -= q * x
+                                if v:
+                                    ri[k] = v
+                                else:
+                                    del ri[k]
                         row_steps.append(("axpy", i, t, -q))
                     if c in ri:
                         dirty = True

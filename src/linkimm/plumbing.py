@@ -98,6 +98,17 @@ class PlumbingGraph(Record):
         if not self._is_connected():
             raise InvalidGraph("graph is not connected")
 
+    @classmethod
+    def _trusted(cls, vertices: tuple, edges: tuple) -> "PlumbingGraph":
+        """A graph the library built itself, valid by construction: no check.
+
+        ``vertices`` and ``edges`` are tuples of plain-int tuples, in the
+        normalized form the constructor would store.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(vertices=vertices, edges=edges)
+        return g
+
     def _is_connected(self) -> bool:
         ids = [v for v, _ in self.vertices]
         adj = {v: set() for v in ids}
@@ -190,20 +201,21 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
     All vertex weights are -2 and all edge signs +1.  Vertices are numbered
     0..k-1: families A and D lay out a path 0-1-...; D appends its two
     extra leaves to the far end of the path; E attaches its extra vertex to
-    position 2 of the path.
+    position 2 of the path.  The diagram is a valid connected graph by
+    construction, so it skips the constructor's checks.
     """
     k = label.vertex_count
-    vertices = [(i, -2) for i in range(k)]
+    vertices = tuple([(i, -2) for i in range(k)])
     if label.family == "A":
-        edges = [(i, i + 1) for i in range(k - 1)]
+        edges = [(i, i + 1, 1) for i in range(k - 1)]
     elif label.family == "D":
         n = label.parameter
-        edges = [(i, i + 1) for i in range(n - 1)]  # path 0..n-1
-        edges += [(n - 1, n), (n - 1, n + 1)]  # two leaves at the fork
+        edges = [(i, i + 1, 1) for i in range(n - 1)]  # path 0..n-1
+        edges += [(n - 1, n, 1), (n - 1, n + 1, 1)]  # two leaves at the fork
     else:
-        edges = [(i, i + 1) for i in range(k - 2)]  # path 0..k-2
-        edges.append((2, k - 1))
-    return PlumbingGraph.build(vertices, edges)
+        edges = [(i, i + 1, 1) for i in range(k - 2)]  # path 0..k-2
+        edges.append((2, k - 1, 1))
+    return PlumbingGraph._trusted(vertices, tuple(edges))
 
 
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
@@ -215,7 +227,9 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     built only if something reads them, so a form whose readers all work
     on the ~3n nonzeros of a tree never allocates them.  The graph stores
     every weight and sign as a checked plain int, so the matrix skips the
-    per-entry check.
+    per-entry check; each edge adds its sign to both (i, j) and (j, i), so
+    the matrix is born symmetric and ``signature`` and ``form_group`` skip
+    the symmetry scan.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     n = g.vertex_count
@@ -229,7 +243,7 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
                 row[c] = v
             else:
                 del row[c]
-    return IntMatrix._trusted(n, n, nonzero_rows=rows)
+    return IntMatrix._trusted(n, n, nonzero_rows=rows, symmetric=True)
 
 
 def filling_signature(g: PlumbingGraph) -> int:

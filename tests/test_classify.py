@@ -127,6 +127,22 @@ class TestTableRow:
             row = table_row(label)
             assert row.euler_characteristic == filling_euler_characteristic(dynkin_graph(label)), label
 
+    def test_checks_no_connectivity(self, monkeypatch):
+        # the library builds the Dynkin diagram connected; only outside graphs are walked
+        walked = []
+        walk = PlumbingGraph._is_connected
+
+        def counted(g):
+            walked.append(g)
+            return walk(g)
+
+        monkeypatch.setattr(PlumbingGraph, "_is_connected", counted)
+        for label in (DynkinLabel("A", 2), DynkinLabel("D", 7), DynkinLabel("E", 8)):
+            table_row(label)
+        assert walked == []
+        PlumbingGraph.build([(0, -2), (1, -2)], [(0, 1)])
+        assert len(walked) == 1
+
 
 class TestFormalSmaleType:
     def test_integral_case(self):

@@ -46,7 +46,9 @@ class TestParseLabel:
         assert parse_label(["E", "8"]) == DynkinLabel("E", 8)
 
     @pytest.mark.parametrize("words", [["A2"], ["E"], ["A", "x"], ["Q", "3"], ["E", "9"], ["A", "1"],
-                                       ["A", "²"], ["E²"], ["A", "--3"]])
+                                       ["A", "²"], ["E²"], ["A", "--3"],
+                                       # past int()'s limit of 4300 decimal digits
+                                       ["A", "9" * 5000], ["E" + "9" * 5000]])
     def test_rejects(self, words):
         with pytest.raises(InvalidParameter):
             parse_label(words)
@@ -110,6 +112,8 @@ class TestLink:
         assert "error" in err
         # a digit that str.isdigit accepts and int() rejects
         assert main(["link", "A", "²"]) == 2
+        # more digits than int() converts
+        assert main(["link", "A", "9" * 5000]) == 2
 
     def test_label_echo_prevents_off_by_one(self, capsys):
         doc = run_json(capsys, "link", "D", "2", "--format", "json")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -265,11 +266,24 @@ class TestSmithAgainstDense(TestSmithAgainstEager):
             self.assert_matches(IntMatrix.from_rows(mixed_weight_tree(rng, n)))
 
     def test_a_and_d_paths(self):
-        for n in (2, 3, 10, 50, 145, 400):
+        for n in sorted({2, 3, 10, 50, 145, 400, *range(2, 400, 17)}):
             self.assert_matches(IntMatrix.from_rows(cartan_a(n)))
-            if n >= 4:
-                edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
-                self.assert_matches(IntMatrix.from_rows(cartan_from_edges(n, edges)))
+        for n in sorted({10, 50, 145, 400, *range(4, 201, 9)}):
+            edges = [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]
+            self.assert_matches(IntMatrix.from_rows(cartan_from_edges(n, edges)))
+
+    def test_e6_e7_e8(self):
+        for edges in (E7_EDGES[:-2] + [(2, 5)], E7_EDGES, E8_EDGES):
+            self.assert_matches(IntMatrix.from_rows(cartan_from_edges(len(edges) + 1, edges)))
+
+    def test_chains_with_weights_two_to_six(self):
+        # paths whose diagonal weights are not all -2
+        rng = random.Random(7474)
+        for n in (2, 3, 8, 25, 60, 120, 200, 300):
+            rows = cartan_a(n)
+            for i in range(n):
+                rows[i][i] = -rng.randint(2, 6)
+            self.assert_matches(IntMatrix.from_rows(rows))
 
     def test_stars(self):
         for leaves in range(1, 17):  # alpha up to 15
@@ -286,6 +300,33 @@ class TestSmithAgainstDense(TestSmithAgainstEager):
         for r, c in [(0, 0), (0, 9), (9, 0), (1, 12), (12, 1), (6, 20), (20, 6), (15, 15)]:
             sparse = [[rng.choice((0, 0, 0, 0, 1, -1, 2, -3)) for _ in range(c)] for _ in range(r)]
             self.assert_matches(IntMatrix.from_rows(sparse) if r else IntMatrix(0, c, []))
+
+
+def test_smith_work_on_a_path_is_linear():
+    # The row pass stops at the last row holding the pivot column, so a
+    # path costs the same few lines per pivot: twice the path runs about
+    # twice the lines, where a pass over every row below the pivot runs
+    # about four times as many.
+    def lines(n):
+        a = IntMatrix.from_rows(cartan_a(n))
+        count = 0
+
+        def trace(frame, event, arg):
+            nonlocal count
+            if frame.f_code.co_filename != linalg.__file__:
+                return None
+            count += event == "line"
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            smith_normal_form(a)
+        finally:
+            sys.settrace(previous)
+        return count
+
+    assert lines(400) / lines(200) < 2.5
 
 
 class TestReplayRows:

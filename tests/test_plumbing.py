@@ -83,6 +83,15 @@ class TestDynkinGraph:
         for label in ALL_TABLE_LABELS + [DynkinLabel("A", 51), DynkinLabel("D", 40)]:
             assert recognize_dynkin(dynkin_graph(label)) == label
 
+    def test_equals_the_validated_graph(self):
+        # the diagram skips the constructor's checks; it must pass them
+        labels = ([DynkinLabel(f, n) for f in "AD" for n in range(2, 201)]
+                  + [DynkinLabel("E", k) for k in (6, 7, 8)])
+        for label in labels:
+            g = dynkin_graph(label)
+            assert g == PlumbingGraph.build(g.vertices, g.edges), label
+            assert all(type(x) is int for item in g.vertices + g.edges for x in item), label
+
 
 class TestGraphValidation:
     def test_duplicate_ids(self):
@@ -177,10 +186,12 @@ class TestIntersectionMatrix:
 
     def test_always_symmetric(self):
         rng = random.Random(4242)
-        for _ in range(30):
-            vertices, edges = random_negative_definite_tree(rng)
-            g = PlumbingGraph.build(vertices, edges)
-            assert intersection_matrix(g).is_symmetric()
+        graphs = [dynkin_graph(label) for label in ALL_TABLE_LABELS]
+        graphs += [PlumbingGraph.build(*random_negative_definite_tree(rng)) for _ in range(30)]
+        for g in graphs:
+            a = intersection_matrix(g)
+            assert vars(a).get("_symmetric") is True  # born symmetric: no scan
+            assert a.is_symmetric()
 
     def test_entries_are_exact_ints(self):
         rng = random.Random(77)

@@ -5,8 +5,9 @@
 give exactly what ``oracles.signature_fraction`` and
 ``oracles.kernel_mod2_dense`` give.  The rows that
 ``plumbing.intersection_matrix`` builds from the graph must equal the view
-read off its dense entries, and the sparse ``is_symmetric`` and the
-``SmithDecomposition.diagonal`` must agree with their dense definitions.
+read off its dense entries, and the sparse ``is_symmetric``, the symmetry
+an intersection form is born with and the ``SmithDecomposition.diagonal``
+must agree with their dense definitions.
 A matrix born sparse builds its dense entries, and a decomposition its S,
 only when something reads them, and then exactly the ones the code built
 eagerly before.  The benchmark's tree and star pools come from
@@ -158,6 +159,9 @@ def test_is_symmetric_matches_the_dense_slices():
             rows[i][j] = 0 if rows[i][j] else rng.choice((-1, 1))  # a zero on one side only
         cases.append(IntMatrix.from_rows(rows))
         cases.append(IntMatrix.from_rows(random_matrix(rng, n, rng.randint(1, 8), -1, 1)))
+    # intersection forms are born symmetric and never scanned; graphs with
+    # zero weights and cancelling multi-edges must still give symmetric forms
+    cases += [intersection_matrix(random_graph(rng, rng.randint(1, 20))) for _ in range(300)]
     for a in cases:
         assert a.is_symmetric() == sliced(a), a
 
