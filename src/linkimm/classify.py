@@ -57,9 +57,6 @@ class RegularHomotopyClass(Record):
             raise NotTwoTorsion(f"Wu class {wu} is not 2-torsion")
         self.__dict__.update(wu=wu, smale_type=smale_type, parallelization_tag=parallelization_tag)
 
-    def __str__(self):
-        return f"(wu = {self.wu}, i = {self.smale_type})"
-
 
 class TableRow(Record):
     """The four computed columns for one singularity type, and chi of its filling."""

@@ -151,19 +151,16 @@ def class_payload(c: RegularHomotopyClass) -> dict:
             "smale_type": c.smale_type}
 
 
+def row_invariants(row) -> dict:
+    """The h2, signature and alpha keys of a table row, shared by table and link reports."""
+    return {"h2": group_payload(row.h2), "signature": row.signature, "alpha": row.alpha}
+
+
 def table_payload(labels) -> list:
     rows = []
     for label in labels:
         row = table_row(label)
-        rows.append(
-            label_payload(label)
-            | {
-                "h2": group_payload(row.h2),
-                "signature": row.signature,
-                "alpha": row.alpha,
-                "smale_type": row.smale_type,
-            }
-        )
+        rows.append(label_payload(label) | row_invariants(row) | {"smale_type": row.smale_type})
     return rows
 
 
@@ -180,12 +177,7 @@ def link_payload(label: DynkinLabel) -> dict:
         "germ": record.germ,
         "group": {"name": record.group_name, "order": record.group_order},
         "vertices": label.vertex_count,
-        "plumbing": {
-            "h2": group_payload(row.h2),
-            "signature": row.signature,
-            "alpha": row.alpha,
-            "euler_characteristic": row.euler_characteristic,
-        },
+        "plumbing": row_invariants(row) | {"euler_characteristic": row.euler_characteristic},
         "link_inclusion": class_payload(inclusion),
         "kinjo_pushforward": class_payload(pushed),
         "regularly_homotopic": are_regularly_homotopic(inclusion, pushed),
@@ -307,8 +299,7 @@ def _md_table(headers, rows) -> str:
 
 
 def _md_matrix(rows) -> str:
-    if not rows:
-        return "    (empty)"
+    # rows is a graph's intersection matrix, and a graph has a vertex: never empty
     cells = list(map(str, itertools.chain.from_iterable(rows)))
     width = max(map(len, cells))
     cells = [c.rjust(width) for c in cells]

@@ -30,9 +30,9 @@ class NotRationalHomologySphere(LinkImmError):
     Carries the offending free rank for diagnostics.
     """
 
-    def __init__(self, free_rank, message=None):
+    def __init__(self, free_rank):
         self.free_rank = free_rank
-        super().__init__(message or f"degenerate form: H_1 has free rank {free_rank}")
+        super().__init__(f"degenerate form: H_1 has free rank {free_rank}")
 
 
 class FreeRankUnsupported(LinkImmError):
@@ -71,9 +71,9 @@ class HalfIntegerResult(LinkImmError):
     The exact rational value is kept on the exception for diagnostics.
     """
 
-    def __init__(self, value, message=None):
+    def __init__(self, value):
         self.value = value
-        super().__init__(message or f"non-integral result {value}")
+        super().__init__(f"non-integral result {value}")
 
 
 class ConsistencyViolation(LinkImmError):

@@ -68,6 +68,11 @@ class IntMatrix(Record):
     >= 0; a matrix born sparse (an intersection form, say) builds its n^2
     dense entries only when something reads them: ``entries`` itself,
     ``row``, ``to_rows``, indexing, ``==``, ``hash``, ``repr`` or ``str``.
+
+    Matrices the library computes itself skip the checks through one of two
+    trusted constructors: ``_trusted`` for dense entries (S, U and V of a
+    Smith decomposition), ``_trusted_symmetric`` for a symmetric form born
+    from its nonzero rows (an intersection form).
     """
 
     _fields = ("rows", "cols", "entries")
@@ -85,23 +90,22 @@ class IntMatrix(Record):
         self.__dict__.update(rows=rows, cols=cols, entries=tuple(map(int, entries)))
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries=None, nonzero_rows=None,
-                 symmetric=False) -> "IntMatrix":
-        """A matrix the library computed itself: no per-entry check.
-
-        It is given its dense ``entries``, its ``nonzero_rows`` or both;
-        a view it is not given is built from the other on first read.
-        ``symmetric=True`` states that the matrix equals its transpose (an
-        intersection form, say), so ``is_symmetric`` never scans it.
-        """
+    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """A matrix from its dense entries, a tuple of plain ints: no check."""
         m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols)
-        if entries is not None:
-            m.__dict__["entries"] = entries
-        if nonzero_rows is not None:
-            m.__dict__["nonzero_rows"] = nonzero_rows
-        if symmetric:
-            m.__dict__["_symmetric"] = True
+        m.__dict__.update(rows=rows, cols=cols, entries=entries)
+        return m
+
+    @classmethod
+    def _trusted_symmetric(cls, nonzero_rows: tuple) -> "IntMatrix":
+        """The n x n symmetric form with these n rows of nonzero plain ints: no check.
+
+        Row i is a dict {j: A[i, j]} with A[i, j] == A[j, i], so
+        ``is_symmetric`` never scans the form.
+        """
+        n = len(nonzero_rows)
+        m = object.__new__(cls)
+        m.__dict__.update(rows=n, cols=n, nonzero_rows=nonzero_rows, _symmetric=True)
         return m
 
     @staticmethod
@@ -161,8 +165,8 @@ class IntMatrix(Record):
     def _symmetric(self) -> bool:
         """Whether A equals its transpose: one scan of ``nonzero_rows`` per matrix.
 
-        A matrix born symmetric (``_trusted(..., symmetric=True)``) holds
-        the answer from the start and is never scanned.
+        A form from ``_trusted_symmetric`` holds the answer from the start
+        and is never scanned; this module is the one place that sets it.
         """
         if not self.is_square:
             return False
@@ -301,7 +305,11 @@ class FinAbGroup(Record):
 
 
 def _xgcd(a: int, b: int):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    """Return (g, x, y) with g = gcd(a, b) and x*a + y*b = g, for a, b >= 0.
+
+    Every remainder of Euclid's loop is then >= 0, so g needs no sign fix;
+    the one caller passes diagonal entries after the sign step.
+    """
     x0, x1, y0, y1 = 1, 0, 0, 1
     g, r = a, b
     while r:
@@ -309,8 +317,6 @@ def _xgcd(a: int, b: int):
         g, r = r, g - q * r
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
-    if g < 0:
-        g, x0, y0 = -g, -x0, -y0
     return g, x0, y0
 
 
@@ -414,6 +420,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     the row it moves down; nothing else adds a key to a row, so the bound
     holds, and the rows past it, which hold nothing in column c, are
     never visited.  The steps logged are those of a pass over every row.
+
+    No row or column step is trivial.  The pivot p is an entry of least
+    magnitude in rows t.. (``_find_min_pivot`` picks it afresh after any
+    pass that leaves the pivot row or column unclean), and neither pass
+    changes an entry before dividing it by p, so each quotient q = x // p
+    has |x| >= |p| and is nonzero.  The divisibility step combines two
+    diagonal entries only when d_i does not divide d_j, so in
+    x*d_i + y*d_j = g the coefficient y is nonzero, and so is y*d_j/g.
     """
     nr, nc = a.rows, a.cols
     rows = [dict(r) for r in a.nonzero_rows]
@@ -456,21 +470,20 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             for i in range(t + 1, last[c] + 1):
                 ri = rows[i]
                 if c in ri:
-                    q = ri[c] // p
-                    if q:
-                        for k, x in mt.items():
-                            v = ri.get(k)
-                            if v is None:
-                                ri[k] = -q * x
-                                if last[k] < i:
-                                    last[k] = i
+                    q = ri[c] // p  # never 0: |ri[c]| >= |p| (see the docstring)
+                    for k, x in mt.items():
+                        v = ri.get(k)
+                        if v is None:
+                            ri[k] = -q * x
+                            if last[k] < i:
+                                last[k] = i
+                        else:
+                            v -= q * x
+                            if v:
+                                ri[k] = v
                             else:
-                                v -= q * x
-                                if v:
-                                    ri[k] = v
-                                else:
-                                    del ri[k]
-                        row_steps.append(("axpy", i, t, -q))
+                                del ri[k]
+                    row_steps.append(("axpy", i, t, -q))
                     if c in ri:
                         dirty = True
             if not dirty:
@@ -479,16 +492,14 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                     if k == c:
                         continue
                     e = mt[k]
-                    q = e // p
-                    if q:
-                        e -= q * p
-                        col_steps.append(("axpy", pos[k], t, -q))
-                        if e:
-                            mt[k] = e
-                        else:
-                            del mt[k]
+                    q = e // p  # never 0: |e| >= |p| (see the docstring)
+                    col_steps.append(("axpy", pos[k], t, -q))
+                    e -= q * p
                     if e:
+                        mt[k] = e
                         dirty = True
+                    else:
+                        del mt[k]
             if not dirty:
                 break
             found = _find_min_pivot(rows, t, pos)
@@ -519,9 +530,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 g, x, y = _xgcd(di, dj)
                 col_steps.append(("axpy", i, j, 1))
                 row_steps.append(("combine", i, j, (x, y, -(dj // g), di // g)))
-                c = (y * dj) // g
-                if c:
-                    col_steps.append(("axpy", j, i, -c))
+                # di does not divide dj, so y != 0 and the step is never trivial
+                col_steps.append(("axpy", j, i, -((y * dj) // g)))
                 d[i], d[j] = g, di // g * dj
                 changed = True
 

@@ -228,11 +228,10 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     on the ~3n nonzeros of a tree never allocates them.  The graph stores
     every weight and sign as a checked plain int, so the matrix skips the
     per-entry check; each edge adds its sign to both (i, j) and (j, i), so
-    the matrix is born symmetric and ``signature`` and ``form_group`` skip
-    the symmetry scan.
+    the matrix is born symmetric (``IntMatrix._trusted_symmetric``) and
+    ``signature`` and ``form_group`` skip the symmetry scan.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
-    n = g.vertex_count
     rows = tuple([{i: w} if w else {} for i, (_, w) in enumerate(g.vertices)])
     for a, b, s in g.edges:
         i, j = index[a], index[b]
@@ -243,7 +242,7 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
                 row[c] = v
             else:
                 del row[c]
-    return IntMatrix._trusted(n, n, nonzero_rows=rows, symmetric=True)
+    return IntMatrix._trusted_symmetric(rows)
 
 
 def filling_signature(g: PlumbingGraph) -> int:

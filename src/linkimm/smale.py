@@ -54,12 +54,6 @@ class SmaleClassR4(Record):
     def __neg__(self) -> "SmaleClassR4":
         return SmaleClassR4(-self.a, -self.b)
 
-    def __sub__(self, other: "SmaleClassR4") -> "SmaleClassR4":
-        return self + (-other)
-
-    def __str__(self):
-        return f"({self.a}, {self.b})"
-
 
 class SmaleClassR5(Record):
     """Element of pi_3(SO(5)) = Z."""
@@ -74,12 +68,6 @@ class SmaleClassR5(Record):
 
     def __neg__(self) -> "SmaleClassR5":
         return SmaleClassR5(-self.value)
-
-    def __sub__(self, other: "SmaleClassR5") -> "SmaleClassR5":
-        return self + (-other)
-
-    def __str__(self):
-        return str(self.value)
 
 
 class Quaternion(Record):

@@ -46,7 +46,7 @@ class TestParseLabel:
         assert parse_label(["E", "8"]) == DynkinLabel("E", 8)
 
     @pytest.mark.parametrize("words", [["A2"], ["E"], ["A", "x"], ["Q", "3"], ["E", "9"], ["A", "1"],
-                                       ["A", "²"], ["E²"], ["A", "--3"],
+                                       ["A", "²"], ["E²"], ["A", "--3"], ["A", "2", "3"],
                                        # past int()'s limit of 4300 decimal digits
                                        ["A", "9" * 5000], ["E" + "9" * 5000]])
     def test_rejects(self, words):

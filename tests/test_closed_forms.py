@@ -1,0 +1,203 @@
+"""Closed-form and metamorphic oracles from the plumbing calculus.
+
+Every oracle in ``tests/oracles.py`` is brute force or a second
+elimination, so it checks exactness only at small n or against the
+library's own method.  Topology gives checks that are exact at any size
+and cost linear time, so they run here on trees of about 400 vertices and
+chains of 2000:
+
+* blow-up invariance (Neumann, "A calculus for plumbing applied to the
+  topology of complex surface singularities and degenerating complex
+  curves", Trans. AMS 268, 1981, move R1): a vertex of weight e = +-1 added
+  as a leaf of u, with w_u -> w_u + e, or subdividing an edge u-v, with
+  w_u, w_v -> w_u + e, w_v + e, leaves M unchanged, and on a tree so do
+  flipping an edge sign and renumbering the vertices.  H^2, alpha,
+  dim H^1(M; Z_2) and |Gamma_2(0)| stay; sigma shifts by exactly e and the
+  formal Smale type 3/2 (sigma - alpha) by 3e/2, so its integrality flips;
+* lens spaces: the chain of weights -a_1, ..., -a_n (every a_i >= 2) has
+  H^2 = Z/p, where p/q = [a_1, ..., a_n] is the Hirzebruch-Jung continued
+  fraction a_1 - 1/(a_2 - 1/(... - 1/a_n)), and sigma = -n;
+* Seifert stars: centre weight -b and chain arms of continued fractions
+  p_i/q_i give |H^2| = |e| * prod p_i with e = b - sum q_i/p_i, and
+  sigma = -(n - 1) - sgn(e); e = 0 is a degenerate form.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from linkimm.classify import formal_smale_type
+from linkimm.errors import NotRationalHomologySphere
+from linkimm.linalg import FinAbGroup, cokernel, kernel_mod2
+from linkimm.plumbing import PlumbingGraph, filling_signature, intersection_matrix, link_first_homology
+from linkimm.wu import CohClass, gamma2
+
+
+def invariants(g: PlumbingGraph) -> tuple:
+    """(coker A, sigma, dim H^1(M; Z_2), |Gamma_2(0)| or None) of a graph's form.
+
+    |Gamma_2(0)| is listed only for a finite H^2 with alpha <= 8.
+    """
+    a = intersection_matrix(g)
+    h2 = cokernel(a)
+    listed = None
+    if not h2.free_rank and h2.two_torsion_rank <= 8:
+        listed = len(gamma2(h2, CohClass.zero(h2)))
+    return h2, filling_signature(g), len(kernel_mod2(a)), listed
+
+
+def random_tree(rng, n):
+    """(weights, edges) of a random tree with mixed weights and edge signs."""
+    weights = [rng.choice((-2, -2, -3, -3, -4, -1, -5, 1, 2, 0)) for _ in range(n)]
+    edges = [(v, rng.randrange(v), rng.choice((1, -1))) for v in range(1, n)]
+    return weights, edges
+
+
+def blow_up(rng, weights, edges, sign_of_move=1):
+    """One random blow-up with e = +-1: a new leaf, or a subdivided edge.
+
+    The neighbours' weights move by ``sign_of_move * e``; +1 is move R1,
+    which keeps M, and -1 is the wrong move the oracle must tell apart.
+    Returns (weights, edges, e).
+    """
+    e = rng.choice((1, -1))
+    new = len(weights)
+    weights = weights + [e]
+    edges = list(edges)
+    if edges and rng.random() < 0.5:
+        k = rng.randrange(len(edges))
+        u, v, s = edges[k]
+        # the u-v entry of the Schur complement of the new vertex is
+        # -s * (-e) / e = s, the sign of the edge it replaces
+        edges[k:k + 1] = [(u, new, s), (new, v, -e)]
+        touched = (u, v)
+    else:
+        u = rng.randrange(new)
+        edges.append((u, new, rng.choice((1, -1))))
+        touched = (u,)
+    for u in touched:
+        weights[u] += sign_of_move * e
+    return weights, edges, e
+
+
+def shuffled(rng, weights, edges):
+    """The same tree with renumbered, reordered vertices and some edge signs flipped."""
+    ids = rng.sample(range(10 * len(weights)), len(weights))
+    vertices = [(ids[v], w) for v, w in enumerate(weights)]
+    rng.shuffle(vertices)
+    flipped = [(ids[a], ids[b], -s if rng.random() < 0.3 else s) for a, b, s in edges]
+    rng.shuffle(flipped)
+    return PlumbingGraph(tuple(vertices), tuple(flipped))
+
+
+def graph(weights, edges) -> PlumbingGraph:
+    return PlumbingGraph(tuple(enumerate(weights)), tuple(edges))
+
+
+class TestBlowUp:
+    SIZES = [8, 13, 21, 34, 55, 89, 144, 233, 400]
+
+    def test_blow_ups_keep_the_link(self):
+        rng = random.Random(2024)
+        moves = 0
+        for n in self.SIZES + [rng.randint(5, 60) for _ in range(12)]:
+            weights, edges = random_tree(rng, n)
+            h2, sigma, h1, listed = invariants(graph(weights, edges))
+            shift = 0
+            for _ in range(rng.randint(1, 5)):
+                weights, edges, e = blow_up(rng, weights, edges)
+                shift += e
+                moves += 1
+            assert invariants(shuffled(rng, weights, edges)) == (h2, sigma + shift, h1, listed), n
+            if not h2.free_rank:
+                alpha = h2.two_torsion_rank
+                before, integral = formal_smale_type(sigma, alpha)
+                after, integral_after = formal_smale_type(sigma + shift, alpha)
+                assert after - before == Fraction(3 * shift, 2)
+                assert integral_after == (integral == (shift % 2 == 0))
+        assert moves >= 40
+
+    def test_the_wrong_sign_changes_the_link(self):
+        """w_u - e in place of w_u + e: the oracle tells the moves apart."""
+        rng = random.Random(7)
+        caught = 0
+        for _ in range(60):
+            weights, edges = random_tree(rng, rng.randint(4, 30))
+            h2, sigma, _, _ = invariants(graph(weights, edges))
+            weights, edges, e = blow_up(rng, weights, edges, sign_of_move=-1)
+            h2_after, sigma_after, _, _ = invariants(graph(weights, edges))
+            caught += (h2_after, sigma_after) != (h2, sigma + e)
+        assert caught >= 45
+
+
+def continued_fraction(a) -> tuple:
+    """(p, q) with p/q = [a_1, ..., a_n] = a_1 - 1/(a_2 - 1/(... - 1/a_n)) in lowest terms."""
+    p, q = 1, 0
+    for x in reversed(a):
+        p, q = x * p - q, p
+    return p, q
+
+
+class TestLensSpaces:
+    def test_continued_fraction(self):
+        assert continued_fraction([2] * 4) == (5, 4)  # A_4: Z/5
+        assert continued_fraction([3, 2]) == (5, 2)
+        assert continued_fraction([5]) == (5, 1)
+
+    def test_chains(self):
+        rng = random.Random(11)
+        lengths = [rng.randint(1, 40) for _ in range(40)] + [500, 2000]
+        for n in lengths:
+            a = [rng.randint(2, 6) for _ in range(n)]
+            g = graph([-x for x in a], [(i, i + 1, 1) for i in range(n - 1)])
+            p, _ = continued_fraction(a)
+            h2 = link_first_homology(g)
+            assert h2 == FinAbGroup(0, (p,)), n
+            assert h2.two_torsion_rank == (p % 2 == 0)
+            assert filling_signature(g) == -n
+        assert p.bit_length() > 2000  # the 2000-vertex chain
+
+
+def star(b, arms) -> tuple:
+    """(graph, e, prod p_i): centre 0 of weight -b and one chain of weights -a per arm a."""
+    weights, edges, e, prod = [-b], [], Fraction(b), 1
+    for a in arms:
+        previous = 0
+        for x in a:
+            weights.append(-x)
+            edges.append((previous, len(weights) - 1, 1))
+            previous = len(weights) - 1
+        p, q = continued_fraction(a)
+        e -= Fraction(q, p)
+        prod *= p
+    return graph(weights, edges), e, prod
+
+
+class TestSeifertStars:
+    def check(self, g, e, prod):
+        sign = (e > 0) - (e < 0)
+        assert filling_signature(g) == -(g.vertex_count - 1) - sign
+        if e:
+            assert link_first_homology(g).order() == abs(e) * prod
+        else:
+            with pytest.raises(NotRationalHomologySphere):
+                link_first_homology(g)
+
+    def test_random_stars(self):
+        rng = random.Random(5)
+        for k in range(300):
+            longest = 60 if k % 30 == 0 else 6
+            arms = [[rng.randint(2, 5) for _ in range(rng.randint(1, longest))]
+                    for _ in range(rng.randint(1, 5))]
+            self.check(*star(rng.randint(-2, 6), arms))
+
+    @pytest.mark.parametrize("b, arms", [
+        (1, [[2], [2]]),
+        (2, [[2], [2], [2], [2]]),
+        (1, [[3], [3], [3]]),
+        (1, [[2, 2], [3]]),
+    ])
+    def test_degenerate_stars(self, b, arms):
+        g, e, prod = star(b, arms)
+        assert e == 0
+        self.check(g, e, prod)

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import sys
@@ -24,6 +25,7 @@ from oracles import (
     random_symmetric,
     random_tree_edges,
     signature_by_root_count,
+    signature_fraction,
     smith_normal_form_dense,
     smith_normal_form_eager,
 )
@@ -107,6 +109,25 @@ class TestIntMatrixInput:
         # each shape has rows * cols == 4, the number of entries
         with pytest.raises(ValueError, match="matrix dimension"):
             IntMatrix(rows, cols, [0] * 4)
+
+    def test_constructor_rejects_a_wrong_entry_count(self):
+        with pytest.raises(ValueError, match="expected 4 entries, got 3"):
+            IntMatrix(2, 2, [1, 2, 3])
+
+    def test_from_rows_rejects_ragged_rows(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            IntMatrix.from_rows([[1, 2], [3]])
+
+    def test_index_out_of_range(self):
+        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        # each of these but the last falls inside the row-major entry tuple
+        for ij in [(0, 3), (-1, 0), (0, -1), (2, 0)]:
+            with pytest.raises(IndexError):
+                m[ij]
+
+    def test_str(self):
+        assert str(IntMatrix(0, 3, [])) == "[] (0x3)"
+        assert str(IntMatrix.from_rows([[1, -10], [0, 2]])) == "[   1  -10 ]\n[   0    2 ]"
 
 
 class TestSmithNormalForm:
@@ -417,6 +438,49 @@ class TestSignature:
             rows = random_symmetric(rng, n)
             assert signature(IntMatrix.from_rows(rows)) == signature_by_root_count(rows)
 
+    @pytest.mark.parametrize("rows, sigma", [
+        ([[0, 0, 0, 0, 0, -2, -3], [0, 0, 0, 1, 3, 0, 0], [0, 0, 0, -1, 2, 0, 2],
+          [0, 1, -1, 0, 0, 0, 0], [0, 3, 2, 0, 0, 1, 0], [-2, 0, 0, 0, 1, 0, 0],
+          [-3, 0, 2, 0, 0, 0, 0]], 1),
+        # without the scaling these two give a KeyError and sigma = -2
+        ([[0, 0, -2, 0, 3, 0], [0, 0, 0, 0, 0, -2], [-2, 0, 0, 0, 0, -1],
+          [0, 0, 0, 0, -3, 0], [3, 0, 0, -3, 0, 0], [0, -2, -1, 0, 0, 0]], 0),
+        ([[0, 0, -1, 0, -1, 0, -3, 0], [0, 0, 0, 0, 3, 0, 0, -2], [-1, 0, 0, 0, 0, 0, 0, 0],
+          [0, 0, 0, 0, 0, 0, 0, -2], [-1, 3, 0, 0, 0, 1, 1, 0], [0, 0, 0, 0, 1, 0, -3, 2],
+          [-3, 0, 0, 0, 1, -3, 0, 0], [0, -2, 0, -2, 0, 2, 0, 0]], 0),
+    ])
+    def test_zero_diagonal_rows_over_different_denominators(self, rows, sigma):
+        """The congruence e_i -> e_i + e_j when rows i and j have different denominators.
+
+        Row i is then first scaled to the common denominator (``if fi !=
+        1``).  No random form of the suite reaches that branch; each of
+        these does, which a line trace of the elimination confirms.
+        """
+        source = inspect.getsource(linalg).splitlines()
+        (test,) = [k for k, line in enumerate(source, 1) if line.strip() == "if fi != 1:"]
+        runs = 0
+        last = None
+
+        def trace(frame, event, arg):
+            nonlocal runs, last
+            if frame.f_code.co_filename != linalg.__file__:
+                return None
+            if event == "line":
+                runs += last == test and frame.f_lineno == test + 1  # the test passed
+                last = frame.f_lineno
+            return trace
+
+        a = IntMatrix.from_rows(rows)
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            signature(a)
+        finally:
+            sys.settrace(previous)
+        assert runs >= 1
+        # again with the caller's tracer back, so a coverage run sees the branch run
+        assert signature(a) == sigma == signature_fraction(a) == signature_by_root_count(rows)
+
     def test_awkward_forms_against_root_counting(self):
         """Zero diagonals, hyperbolic blocks and singular forms, n <= 10."""
         rng = random.Random(4242)
@@ -534,6 +598,10 @@ class TestKernelMod2:
         a = IntMatrix.from_rows(cartan_from_edges(7, E7_EDGES))
         basis = kernel_mod2(a)
         assert len(basis) == 1
+
+    def test_rejects_a_non_square_matrix(self):
+        with pytest.raises(ValueError, match="square"):
+            kernel_mod2(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))
 
     def test_kernel_vectors_satisfy_equation(self):
         rng = random.Random(31337)

@@ -166,6 +166,14 @@ class TestGraphValidation:
         with pytest.raises(InvalidGraph):
             PlumbingGraph.from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"vertices": {"id": 0, "weight": -2}},
+        {"vertices": [{"id": 0, "weight": -2}], "edges": {"a": 0, "b": 0}},
+    ])
+    def test_json_lists_must_be_arrays(self, doc):
+        with pytest.raises(InvalidGraph, match="must be arrays"):
+            PlumbingGraph.from_dict(doc)
+
 
 class TestIntersectionMatrix:
     def test_a1(self):

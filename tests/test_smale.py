@@ -79,6 +79,18 @@ class TestQuaternionAlgebra:
         assert q * q.inverse() == QUAT_ONE
         assert q.is_unit
 
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(ZeroDivisionError, match="zero quaternion"):
+            Quaternion.of().inverse()
+
+    @pytest.mark.parametrize("entries", [
+        ((1, 0, 0, 0),) * 3,
+        ((1, 0, 0, 0),) * 3 + ((1, 0, 0),),
+    ])
+    def test_rotation_matrix_needs_four_by_four(self, entries):
+        with pytest.raises(ValueError, match="4x4"):
+            RotationMatrix4(entries)
+
 
 class TestSigmaMap:
     def test_identity(self):

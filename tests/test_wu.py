@@ -11,7 +11,14 @@ from linkimm.errors import (
     NotSymmetric,
     NotTwoTorsion,
 )
-from linkimm.linalg import FinAbGroup, IntMatrix, cokernel, kernel_mod2, smith_normal_form
+from linkimm.linalg import (
+    FinAbGroup,
+    IntMatrix,
+    SmithDecomposition,
+    cokernel,
+    kernel_mod2,
+    smith_normal_form,
+)
 from linkimm.plumbing import (
     DynkinLabel,
     PlumbingGraph,
@@ -57,6 +64,11 @@ class TestCohClass:
     def test_parent_mismatch(self):
         with pytest.raises(ValueError):
             CohClass(FinAbGroup(0, (2,)), (1,)) + CohClass(FinAbGroup(0, (4,)), (1,))
+
+    @pytest.mark.parametrize("coords", [(), (1,), (1, 0, 0)])
+    def test_one_coordinate_per_generator(self, coords):
+        with pytest.raises(ValueError, match=f"expected 2 coordinates, got {len(coords)}"):
+            CohClass(FinAbGroup(1, (2,)), coords)
 
     def test_two_torsion_flag(self):
         g = FinAbGroup(0, (4,))
@@ -111,6 +123,11 @@ class TestGamma2:
         g = FinAbGroup(1, ())
         with pytest.raises(FreeRankUnsupported):
             gamma2(g, CohClass.zero(g))
+
+    def test_chi_of_another_group_rejected(self):
+        # Z_2 and Z_4 have one coordinate each: the parent check is the only guard
+        with pytest.raises(ValueError, match="does not belong"):
+            gamma2(FinAbGroup(0, (4,)), CohClass.zero(FinAbGroup(0, (2,))))
 
     def test_matches_brute_force_enumeration(self):
         for factors in [(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 9), (2, 6), (4, 8)]:
@@ -181,6 +198,11 @@ class TestBockstein:
         a = IntMatrix.from_rows([[0]])
         with pytest.raises(NotRationalHomologySphere):
             bockstein(a, smith_normal_form(a), Z2Class((1,)))
+
+    @pytest.mark.parametrize("bits", [(), (0, 0)])
+    def test_rejects_a_cochain_of_the_wrong_length(self, bits):
+        with pytest.raises(NotACocycle, match="does not match form size 1"):
+            bockstein(A1, smith_normal_form(A1), Z2Class(bits))
 
     def test_image_is_two_torsion_and_additive(self):
         rng = random.Random(271828)
@@ -290,6 +312,12 @@ class TestRealizeParallelization:
         foreign = CohClass(FinAbGroup(0, (2,)), (1,))
         with pytest.raises(NoPreimageFound):
             realize_parallelization(a, foreign)
+
+    def test_closing_bockstein_catches_a_wrong_preimage(self, monkeypatch):
+        # with no columns of V read, the solved preimage is 0, whose Bockstein misses (1,)
+        monkeypatch.setattr(SmithDecomposition, "v_columns", lambda self, positions: [])
+        with pytest.raises(NoPreimageFound, match="no mod-2 class maps to"):
+            realize_parallelization(A1, CohClass(FinAbGroup(0, (2,)), (1,)))
 
     def test_rejects_asymmetric_with_trivial_kernel(self):
         # odd determinant, so no Bockstein is ever taken: the form is still checked
