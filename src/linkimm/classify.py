@@ -13,9 +13,9 @@ contact gauge both Wu invariants vanish, leaving
 and since the Dynkin intersection forms are negative definite the two
 agree: the immersions are regularly homotopic for every type.
 
-``table_row`` computes H^2, sigma and alpha of a type's form once (one
-Smith form and one signature), and chi of its filling from the same
-graph; ``classify_link_inclusion`` and
+``table_row`` builds a type's intersection form once and reads H^2, sigma
+and alpha off it (one Smith form and one signature), and chi of its
+filling off the same graph; ``classify_link_inclusion`` and
 ``classify_kinjo_pushforward`` read both classes off that row and run no
 linear algebra of their own.
 
@@ -33,6 +33,7 @@ from .plumbing import (
     dynkin_graph,
     filling_euler_characteristic,
     filling_signature,
+    intersection_matrix,
     link_first_homology,
 )
 from .record import Record
@@ -105,10 +106,11 @@ def are_regularly_homotopic(c1: RegularHomotopyClass, c2: RegularHomotopyClass) 
 
 
 def table_row(label: DynkinLabel) -> TableRow:
-    """One row of the reference table, recomputed from the plumbing data."""
+    """One row of the reference table, recomputed from one intersection form."""
     g = dynkin_graph(label)
-    sig = filling_signature(g)
-    h2 = link_first_homology(g)
+    form = intersection_matrix(g)
+    sig = filling_signature(form)
+    h2 = link_first_homology(form)
     a = h2.two_torsion_rank
     return TableRow(
         label=label,

@@ -202,7 +202,7 @@ def _bounded(h2):
     return h2
 
 
-def _cohomology_rows(a, h2, dec) -> tuple:
+def _cohomology_rows(a, h2) -> tuple:
     """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows.
 
     ``h2`` is the group ``_bounded`` returned, so alpha is at most MAX_ALPHA.
@@ -211,18 +211,18 @@ def _cohomology_rows(a, h2, dec) -> tuple:
     return (
         [list(v) for v in basis],
         [list(c.coords) for c in gamma2(h2, CohClass.zero(h2))],
-        [{"kernel_vector": list(vec), "class": list(bockstein(a, dec, Z2Class(vec)).coords)}
+        [{"kernel_vector": list(vec), "class": list(bockstein(a, Z2Class(vec)).coords)}
          for vec in basis],
     )
 
 
 def graph_payload(g: PlumbingGraph, source: str) -> dict:
     a = intersection_matrix(g)
-    h2 = _bounded(link_first_homology(g))  # raises NotRationalHomologySphere when det = 0
-    dec = smith_normal_form(a)
+    h2 = _bounded(link_first_homology(a))  # raises NotRationalHomologySphere when det = 0
+    dec = smith_normal_form(a)  # the decomposition link_first_homology built
     u = dec.u  # the certificate's U, built first: the Bockstein rows are then read off it
-    sigma = filling_signature(g)
-    basis, torsion_square, bock_table = _cohomology_rows(a, h2, dec)
+    sigma = filling_signature(a)
+    basis, torsion_square, bock_table = _cohomology_rows(a, h2)
     value, integral = formal_smale_type(sigma, h2.two_torsion_rank)
     label = recognize_dynkin(g)
     payload = {
@@ -256,9 +256,8 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
 def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
     """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
     a = intersection_matrix(g)
-    dec = smith_normal_form(a)
-    h2 = _bounded(form_group(a, dec))  # raises NotRationalHomologySphere when det = 0
-    basis, torsion_square, bock_table = _cohomology_rows(a, h2, dec)
+    h2 = _bounded(form_group(a))  # raises NotRationalHomologySphere when det = 0
+    basis, torsion_square, bock_table = _cohomology_rows(a, h2)
     label = recognize_dynkin(g)
     return {
         "source": source,

@@ -19,7 +19,8 @@ tolerance anywhere.  The three workhorses are:
   so a caller that needs only the diagonal (``cokernel``) builds neither
   S nor a transform, and one that needs a few rows builds only those.
   The decomposition is the one place that reads coker A off the diagonal:
-  its ``factors`` and ``group``.
+  its ``factors`` and ``group``.  A matrix keeps its decomposition, so
+  all readers of one form share one elimination and need not pass it on.
 * ``signature`` -- the signature of a symmetric form by fraction-free
   congruence (Schur-complement) elimination on sparse rows, one 1x1
   pivot at a time, each row held as integer numerators over one positive
@@ -402,7 +403,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     U and V are unimodular; S is (rectangular-)diagonal and nonnegative
     with S[i,i] | S[i+1,i+1].  Works for any integer matrix, including
-    empty and rectangular ones.  Pivots are chosen with minimal absolute
+    empty and rectangular ones, and keeps the decomposition on A: a later
+    call on A returns the same object.  Pivots are chosen with minimal absolute
     value to limit coefficient growth.  The elimination runs on A alone,
     each row held as a dict of its nonzero entries, and logs its steps; U
     and V are built from the logs on first read, and S from the diagonal
@@ -429,6 +431,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     diagonal entries only when d_i does not divide d_j, so in
     x*d_i + y*d_j = g the coefficient y is nonzero, and so is y*d_j/g.
     """
+    if "_smith" in a.__dict__:
+        return a._smith
     nr, nc = a.rows, a.cols
     rows = [dict(r) for r in a.nonzero_rows]
     # A column swap swaps two positions of ``pos`` and ``key``, not the
@@ -535,7 +539,8 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
                 d[i], d[j] = g, di // g * dj
                 changed = True
 
-    return SmithDecomposition(nr, nc, tuple(d), tuple(row_steps), tuple(col_steps))
+    a.__dict__["_smith"] = SmithDecomposition(nr, nc, tuple(d), tuple(row_steps), tuple(col_steps))
+    return a._smith
 
 
 def cokernel(a: IntMatrix) -> FinAbGroup:

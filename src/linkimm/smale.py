@@ -82,9 +82,6 @@ class Quaternion(Record):
     def of(r=0, i=0, j=0, k=0) -> "Quaternion":
         return Quaternion(Fraction(r), Fraction(i), Fraction(j), Fraction(k))
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.r + other.r, self.i + other.i, self.j + other.j, self.k + other.k)
-
     def __neg__(self) -> "Quaternion":
         return Quaternion(-self.r, -self.i, -self.j, -self.k)
 
@@ -143,10 +140,6 @@ class RotationMatrix4(Record):
     @staticmethod
     def identity() -> "RotationMatrix4":
         return RotationMatrix4(tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)))
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(4))

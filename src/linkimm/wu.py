@@ -6,21 +6,21 @@ form A is modeled on the two-term complex Z^n --A--> Z^n:
     H^2(M; Z)   = coker(A), in invariant-factor coordinates,
     H^1(M; Z_2) = ker(A mod 2), as 0/1 cochain vectors.
 
-H^2 and the coordinates of its classes come from one Smith decomposition
-U*A*V = S: ``form_group`` takes the group (``SmithDecomposition.group``)
-and rejects degenerate forms (det A = 0) rather than supporting them
-partially, and each coordinate belongs to one of the diagonal positions
-in ``SmithDecomposition.factors``.
+H^2 and the coordinates of its classes come from the one Smith
+decomposition U*A*V = S that A keeps (``smith_normal_form(a)``):
+``form_group`` takes its group and rejects degenerate forms (det A = 0)
+rather than supporting them partially, and each coordinate belongs to
+one of the diagonal positions in ``SmithDecomposition.factors``.
 
 ``gamma2`` solves 2C = chi factor by factor.  ``bockstein`` is the
 connecting map of 0 -> Z -> Z -> Z_2 -> 0 computed on cochains: lift a
 mod-2 cocycle x to the 0/1 vector, halve A*x (exact by the cocycle
-condition), and read the class of the result in coker(A) through a Smith
-decomposition of A that the caller computes once and passes in.  Changing
+condition), and read the class of the result in coker(A) through the
+same decomposition, which A keeps, so no caller passes it in.  Changing
 a parallelization shifts the Wu invariant by the Bockstein of the
 difference class (``wu_switch``), and ``realize_parallelization`` inverts
 that shift by reading the preimage off a few columns of the transform V
-of one Smith decomposition, checked by one Bockstein.  Neither map builds
+of that decomposition, checked by one Bockstein.  Neither map builds
 a whole transform: the Bockstein reads the rows of U at the factors
 (``SmithDecomposition.factor_rows``), the preimage the columns of V at the
 factors it needs (``SmithDecomposition.v_columns``).
@@ -38,7 +38,7 @@ from .errors import (
     NotSymmetric,
     NotTwoTorsion,
 )
-from .linalg import FinAbGroup, IntMatrix, SmithDecomposition, smith_normal_form
+from .linalg import FinAbGroup, IntMatrix, smith_normal_form
 from .record import Record
 
 
@@ -151,31 +151,31 @@ def gamma2(group: FinAbGroup, chi: CohClass) -> list:
     return [CohClass._trusted(group, combo) for combo in itertools.product(*per_factor)]
 
 
-def form_group(a: IntMatrix, smith: SmithDecomposition) -> FinAbGroup:
-    """H^2 = coker(A), the group of the given Smith decomposition of A.
+def form_group(a: IntMatrix) -> FinAbGroup:
+    """H^2 = coker(A), the group of the Smith decomposition of A.
 
     Raises NotSymmetric unless A is a symmetric form, and
     NotRationalHomologySphere (with the free rank) when A is degenerate.
     """
     if not a.is_symmetric():
         raise NotSymmetric("intersection form must be symmetric")
-    group = smith.group
+    group = smith_normal_form(a).group
     if group.free_rank:
         raise NotRationalHomologySphere(group.free_rank)
     return group
 
 
-def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
+def bockstein(a: IntMatrix, x: Z2Class) -> CohClass:
     """Connecting homomorphism H^1(M; Z_2) -> H^2(M; Z) on cochains.
 
     Lifts x to its 0/1 representative, halves A*lift (integral exactly
     when x is a cocycle), and expresses the result in invariant-factor
-    coordinates through the rows of the transform U at ``smith.factors``
-    (``smith.factor_rows``, built once per decomposition without the rest
-    of U); ``smith`` must be a Smith decomposition of A (as
-    ``smith_normal_form(a)`` returns).
+    coordinates through the rows of the transform U at the factors of
+    ``smith_normal_form(a)`` (``factor_rows``, built once per
+    decomposition without the rest of U).
     """
-    group = form_group(a, smith)
+    group = form_group(a)
+    smith = smith_normal_form(a)
     n = a.rows
     if len(x.bits) != n:
         raise NotACocycle(f"cochain length {len(x.bits)} does not match form size {n}")
@@ -196,7 +196,7 @@ def bockstein(a: IntMatrix, smith: SmithDecomposition, x: Z2Class) -> CohClass:
 
 def wu_switch(c0: CohClass, a: IntMatrix, d: Z2Class) -> CohClass:
     """Wu invariant after a parallelization change with difference class d."""
-    return c0 + bockstein(a, smith_normal_form(a), d)
+    return c0 + bockstein(a, d)
 
 
 def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
@@ -214,12 +214,12 @@ def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     """
     if not target.is_two_torsion:
         raise NotTwoTorsion(f"target {target} does not satisfy 2C = 0")
-    smith = smith_normal_form(a)
-    if target.parent != form_group(a, smith):
+    if target.parent != form_group(a):
         raise NoPreimageFound(f"{target} is not a class of coker A")
+    smith = smith_normal_form(a)
     picked = [i for (i, _), c in zip(smith.factors, target.coords) if c]
     columns = smith.v_columns(picked)
     x = Z2Class(tuple(sum(col[r] for col in columns) for r in range(a.cols)))
-    if bockstein(a, smith, x) != target:
+    if bockstein(a, x) != target:
         raise NoPreimageFound(f"no mod-2 class maps to {target}")
     return x

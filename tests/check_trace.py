@@ -28,11 +28,6 @@ ALLOWED = {
     ("cli", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"),
     ("cli", "return 1"),
     ("cli", "sys.exit(main())"),
-    # helpers of the quaternion model that nothing calls; the model stays as
-    # the statement of the paper's pi_3(SO(4)) conventions
-    ("smale", "return Quaternion(self.r + other.r, self.i + other.i, self.j + other.j, self.k + other.k)"),
-    ("smale", "i, j = ij"),
-    ("smale", "return self.entries[i][j]"),
 }
 
 MARK = ">>>>>>"

@@ -10,18 +10,18 @@ Smith normal form that updated U and V alongside S, as the reference for
 the library's version that builds them from a step log;
 ``smith_normal_form_dense`` keeps the dense-row elimination and its
 forward replay, as the reference for the library's sparse elimination and
-its row-selective backward replay.  ``signature_fraction`` keeps the
-sparse elimination in exact ``Fraction`` arithmetic and
-``kernel_mod2_dense`` the Gauss-Jordan elimination over all n columns, as
-the references for the library's integer-only signature and its mod-2
-kernel.  Both take an ``IntMatrix`` and read only its dense entries, apart
-from the symmetry check the signature starts with.
+its row-selective backward replay.  ``signature_fraction`` is an exact
+rational elimination on dense rows from the highest index down, with 2x2
+pivots for a zero diagonal, and ``kernel_mod2_dense`` the Gauss-Jordan
+elimination over all n columns, as the references for the library's
+sparse signature and its mod-2 kernel.  Both take an ``IntMatrix`` and
+read only its dense entries, apart from the symmetry check the signature
+starts with.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -464,85 +464,80 @@ def smith_normal_form_dense(rows, nc):
 
 
 # ---------------------------------------------------------------------------
-# Fraction signature and dense mod-2 kernel: the references for the
+# dense signature and dense mod-2 kernel: the references for the
 # library's integer-only signature and its echelon-keyed kernel
 
 
 def signature_fraction(a) -> int:
-    """Signature of a symmetric integer matrix, by exact congruence.
+    """Signature of a symmetric integer matrix, by dense exact elimination, last index first.
 
-    Repeatedly splits off a 1x1 block at a nonzero diagonal pivot (Schur
-    complement over Q).  Whenever the remaining diagonal is identically
-    zero, the congruence e_i -> e_i + e_j at an entry A[i][j] != 0 gives
-    row i the diagonal 2*A[i][j] first.  Zero eigenvalues contribute
-    nothing, so singular forms are fine.  Raises NotSymmetric otherwise.
+    Row r of the remaining block is a dense list of integer numerators
+    over one positive denominator, so every value is an exact rational
+    and no ``Fraction`` is built.  The pivot is the highest remaining
+    index k with a nonzero diagonal p: each remaining row r with an entry
+    b in column k becomes p*num_r - b*num_k over p*den_r, and p
+    contributes its sign.  When the remaining diagonal is all zero, the
+    first entry A[i][j] != 0 of the remaining block, taken from the
+    highest index down, gives the 2x2 pivot [[0, m], [m, 0]], one
+    positive and one negative eigenvalue, and both rows go in one step.
+    Each changed row is divided by the gcd of its denominator and
+    numerators.  A zero remaining block ends the elimination: zero
+    eigenvalues contribute nothing, so singular forms are fine.  Raises
+    NotSymmetric otherwise.
 
-    Each row is stored as a dict of its nonzero entries, so a pivot's fill
-    (the other rows it touches) is its row length less one, and a step
-    updates only the pivot's neighbours.  Pivots come from a heap keyed by
-    (fill, index): the least fill, ties to the lowest index.  On a tree a
-    leaf has fill 1 and is taken whenever its diagonal is nonzero, and its
-    step updates one row: the leaf elimination of Neumann's plumbing
-    calculus, linear up to the heap's log factor.
+    Going from the highest index down makes every pivot of a tree whose
+    vertices are numbered parent first (a path, a star, a Dynkin diagram,
+    the benchmark's trees) a leaf, so such a form has no fill.  The
+    library's ``signature`` keeps sparse rows, takes its pivots by
+    least fill from a heap and meets a zero diagonal with the congruence
+    e_i -> e_i + e_j, so the two share neither the pivot order nor the
+    zero-diagonal rule.
     """
     if not a.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
-    indices = range(a.rows)
-    rows = {}
-    for i in indices:
-        r = a.row(i)
-        rows[i] = {j: Fraction(r[j]) for j in itertools.compress(indices, r)}
-    heap = [(len(row) - 1, i) for i, row in rows.items() if i in row]
-    heapq.heapify(heap)
-    pos = neg = 0
-    while rows:
-        pivot = None
-        while heap:
-            fill, i = heapq.heappop(heap)
-            row = rows.get(i)
-            # entries go stale when a row is eliminated or changes; skip those
-            if row is not None and i in row and len(row) - 1 == fill:
-                pivot = i
-                break
-        if pivot is not None:
-            prow = rows.pop(pivot)
-            d = prow.pop(pivot)
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            for r, e in prow.items():
-                row = rows[r]
-                del row[pivot]
-                f = e / d
-                for c, x in prow.items():
-                    v = row.get(c, 0) - f * x
-                    if v:
-                        row[c] = v
-                    else:
-                        row.pop(c, None)
-                if r in row:
-                    heapq.heappush(heap, (len(row) - 1, r))
+    n = a.rows
+    num = [list(a.row(i)) for i in range(n)]
+    den = [1] * n
+    alive = list(range(n - 1, -1, -1))
+    sigma = 0
+
+    def update(r, row, scale):
+        """Set row r to ``row`` over den[r] * scale, in lowest terms with a positive denominator."""
+        d = den[r] * scale
+        g = math.gcd(d, *row)
+        if d < 0:
+            g = -g
+        den[r] = d // g
+        num[r] = [x // g for x in row]
+
+    while alive:
+        k = next((k for k in alive if num[k][k]), None)
+        if k is not None:
+            alive.remove(k)
+            nk = num[k]
+            p = nk[k]
+            sigma += 1 if p > 0 else -1
+            for r in alive:
+                b = num[r][k]
+                if b:
+                    update(r, [p * x - b * y for x, y in zip(num[r], nk)], p)
             continue
-        # Whole remaining diagonal is zero: for some A[i][j] != 0 the
-        # congruence e_i -> e_i + e_j makes A[i][i] = 2*A[i][j] != 0, and
-        # the 1x1 step above takes row i next.
-        pair = next(((i, j) for i, row in rows.items() for j in row), None)
+        pair = next(((i, j) for i in alive for j in alive if num[i][j]), None)
         if pair is None:
             break  # remaining block is zero
+        # S_r = row_r - (A[r][j] row_i + A[r][i] row_j) / m with m = A[i][j];
+        # mi and mj, the numerators of m in rows i and j, share its sign
         i, j = pair
-        irow = rows[i]
-        for c, x in rows[j].items():
-            if c != i:
-                v = irow.get(c, 0) + x
-                if v:
-                    irow[c] = rows[c][i] = v
-                else:
-                    irow.pop(c, None)
-                    rows[c].pop(i, None)
-        irow[i] = 2 * irow[j]
-        heapq.heappush(heap, (len(irow) - 1, i))
-    return pos - neg
+        alive.remove(i)
+        alive.remove(j)
+        ni, nj = num[i], num[j]
+        mi, mj = ni[j], nj[i]
+        for r in alive:
+            bi, bj = num[r][i], num[r][j]
+            if bi or bj:
+                row = [mi * mj * x - bi * mi * y - bj * mj * z for x, y, z in zip(num[r], nj, ni)]
+                update(r, row, mi * mj)
+    return sigma
 
 
 def kernel_mod2_dense(a) -> list:

@@ -160,7 +160,7 @@ def test_criterion_6_bockstein_properties():
         dec = smith_normal_form(a)
         classes = {}
         for x in span:
-            cls = bockstein(a, dec, x)
+            cls = bockstein(a, x)
             classes[x.bits] = cls
             # lands in Gamma_2(0)
             ok = ok and cls.is_two_torsion and cls in torsion_square
@@ -180,7 +180,7 @@ def test_criterion_6_bockstein_properties():
         # surjectivity onto Gamma_2(0), both directly and through realize
         ok = ok and {c.coords for c in classes.values()} == {t.coords for t in torsion_square}
         for target in torsion_square:
-            ok = ok and bockstein(a, dec, realize_parallelization(a, target)) == target
+            ok = ok and bockstein(a, realize_parallelization(a, target)) == target
     elapsed = time.perf_counter() - start
     report(6, "Bockstein property suite", ok and elapsed < 5.0, elapsed)
 

@@ -17,6 +17,7 @@ from linkimm.plumbing import (
     dynkin_graph,
     filling_euler_characteristic,
     filling_signature,
+    intersection_matrix,
     link_first_homology,
 )
 from linkimm.wu import CohClass
@@ -146,13 +147,13 @@ class TestTableRow:
 
 class TestFormalSmaleType:
     def test_integral_case(self):
-        g = PlumbingGraph.build([(0, -2)])
-        value, integral = formal_smale_type(filling_signature(g), link_first_homology(g).two_torsion_rank)
+        a = intersection_matrix(PlumbingGraph.build([(0, -2)]))
+        value, integral = formal_smale_type(filling_signature(a), link_first_homology(a).two_torsion_rank)
         assert integral and value == -3  # sigma = -1, alpha = 1
 
     def test_non_integral_case(self):
         # sigma = -1, alpha = 0: 3/2*(-1) is a half-integer
-        g = PlumbingGraph.build([(0, -3)])
-        value, integral = formal_smale_type(filling_signature(g), link_first_homology(g).two_torsion_rank)
+        a = intersection_matrix(PlumbingGraph.build([(0, -3)]))
+        value, integral = formal_smale_type(filling_signature(a), link_first_homology(a).two_torsion_rank)
         assert not integral
         assert value == Fraction(-3, 2)

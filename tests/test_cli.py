@@ -13,7 +13,13 @@ from linkimm.classify import table_row
 from linkimm.cli import jsonable, main, parse_label
 from linkimm.errors import InvalidParameter, NotRationalHomologySphere
 from linkimm.linalg import IntMatrix, cokernel, signature, smith_normal_form
-from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph, link_first_homology
+from linkimm.plumbing import (
+    DynkinLabel,
+    PlumbingGraph,
+    dynkin_graph,
+    intersection_matrix,
+    link_first_homology,
+)
 from linkimm.smale import kinjo_smale
 
 from oracles import random_tree_edges
@@ -239,7 +245,7 @@ class TestBocksteinCommand:
                           for a, b in random_tree_edges(rng, n)],
             })
             try:
-                a = link_first_homology(g).two_torsion_rank
+                a = link_first_homology(intersection_matrix(g)).two_torsion_rank
             except NotRationalHomologySphere:
                 continue
             if a in trees and len(trees[a]) < 2:
@@ -270,15 +276,25 @@ class TestBocksteinCommand:
         assert code == 3 and not out
         assert "free rank 1" in err
 
-    def test_one_smith_form_per_payload(self, count_calls):
+    def test_one_smith_form_per_payload(self, count_calls, record_results):
         graphs = self.corpus()
-        snf = count_calls(smith_normal_form)
+        decs = record_results(smith_normal_form)
         gates = count_calls(link_first_homology), count_calls(cokernel)
         for k, g in enumerate(graphs):
-            del snf[:]
+            del decs[:]
             cli.bockstein_payload(g, f"g{k}")
-            assert len(snf) == 1
+            assert len({id(d) for d in decs}) == 1
         assert [len(calls) for calls in gates] == [0, 0]
+
+    def test_graph_payload_builds_one_form_and_eliminates_once(self, count_calls, record_results):
+        forms = record_results(intersection_matrix)
+        decs = record_results(smith_normal_form)
+        sigs = count_calls(signature)
+        for k, g in enumerate(self.corpus()):
+            del forms[:], decs[:], sigs[:]
+            cli.graph_payload(g, f"g{k}")
+            assert (len(forms), len({id(d) for d in decs}), len(sigs)) == (1, 1, 1)
+            assert decs[0] is smith_normal_form(forms[0])
 
     def test_transforms_are_built_for_the_certificate_only(self, record_results):
         decs = record_results(smith_normal_form)
@@ -288,8 +304,8 @@ class TestBocksteinCommand:
             assert not [d for d in decs if "u" in vars(d) or "v" in vars(d)]
             del decs[:]
             cli.graph_payload(g, f"g{k}")
-            assert len([d for d in decs if "u" in vars(d)]) == 1
-            assert len([d for d in decs if "v" in vars(d)]) == 1
+            assert len({id(d) for d in decs if "u" in vars(d)}) == 1
+            assert len({id(d) for d in decs if "v" in vars(d)}) == 1
 
     def test_graph_payload_replays_u_and_v_once(self, count_calls):
         # U is built before the Bockstein rows, which are then read off it
@@ -346,6 +362,12 @@ class TestOneAnalysisPerForm:
         sig = count_calls(signature)
         build(label)
         assert (len(snf), len(sig)) == (1, 1)
+
+    @pytest.mark.parametrize("label", LABELS, ids=str)
+    def test_table_row_builds_one_form(self, count_calls, label):
+        forms = count_calls(intersection_matrix)
+        table_row(label)
+        assert len(forms) == 1
 
     @pytest.mark.parametrize("label", [DynkinLabel("A", 2), DynkinLabel("D", 2), DynkinLabel("E", 6),
                                        DynkinLabel("A", 146)], ids=str)

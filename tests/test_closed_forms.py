@@ -19,18 +19,27 @@ chains of 2000:
   fraction a_1 - 1/(a_2 - 1/(... - 1/a_n)), and sigma = -n;
 * Seifert stars: centre weight -b and chain arms of continued fractions
   p_i/q_i give |H^2| = |e| * prod p_i with e = b - sum q_i/p_i, and
-  sigma = -(n - 1) - sgn(e); e = 0 is a degenerate form.
+  sigma = -(n - 1) - sgn(e); e = 0 is a degenerate form;
+* graphs with cycles (grids, random multigraphs): when every weight has
+  one sign and |w_v| exceeds the sum of |signs| of the edges at v, the
+  form is strictly diagonally dominant, hence definite (Gershgorin), and
+  sigma = sgn(w) * n.  Their Smith diagonal multiplies out to |det A|,
+  and at n <= 60 the sparse elimination logs the steps of the dense one.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from linkimm.classify import formal_smale_type
 from linkimm.errors import NotRationalHomologySphere
-from linkimm.linalg import FinAbGroup, cokernel, kernel_mod2
+from linkimm.linalg import FinAbGroup, cokernel, kernel_mod2, smith_normal_form
 from linkimm.plumbing import PlumbingGraph, filling_signature, intersection_matrix, link_first_homology
 from linkimm.wu import CohClass, gamma2
+
+from check import bareiss_det
+from oracles import smith_normal_form_dense
 
 
 def invariants(g: PlumbingGraph) -> tuple:
@@ -43,7 +52,7 @@ def invariants(g: PlumbingGraph) -> tuple:
     listed = None
     if not h2.free_rank and h2.two_torsion_rank <= 8:
         listed = len(gamma2(h2, CohClass.zero(h2)))
-    return h2, filling_signature(g), len(kernel_mod2(a)), listed
+    return h2, filling_signature(a), len(kernel_mod2(a)), listed
 
 
 def random_tree(rng, n):
@@ -151,10 +160,10 @@ class TestLensSpaces:
             a = [rng.randint(2, 6) for _ in range(n)]
             g = graph([-x for x in a], [(i, i + 1, 1) for i in range(n - 1)])
             p, _ = continued_fraction(a)
-            h2 = link_first_homology(g)
+            h2 = link_first_homology(intersection_matrix(g))
             assert h2 == FinAbGroup(0, (p,)), n
             assert h2.two_torsion_rank == (p % 2 == 0)
-            assert filling_signature(g) == -n
+            assert filling_signature(intersection_matrix(g)) == -n
         assert p.bit_length() > 2000  # the 2000-vertex chain
 
 
@@ -176,12 +185,12 @@ def star(b, arms) -> tuple:
 class TestSeifertStars:
     def check(self, g, e, prod):
         sign = (e > 0) - (e < 0)
-        assert filling_signature(g) == -(g.vertex_count - 1) - sign
+        assert filling_signature(intersection_matrix(g)) == -(g.vertex_count - 1) - sign
         if e:
-            assert link_first_homology(g).order() == abs(e) * prod
+            assert link_first_homology(intersection_matrix(g)).order() == abs(e) * prod
         else:
             with pytest.raises(NotRationalHomologySphere):
-                link_first_homology(g)
+                link_first_homology(intersection_matrix(g))
 
     def test_random_stars(self):
         rng = random.Random(5)
@@ -201,3 +210,77 @@ class TestSeifertStars:
         g, e, prod = star(b, arms)
         assert e == 0
         self.check(g, e, prod)
+
+
+def grid(rng, rows, cols, weight):
+    """The rows x cols grid graph, every weight ``weight``, edge signs at random."""
+    cells = [[i * cols + j for j in range(cols)] for i in range(rows)]
+    edges = [(r[j], r[j + 1]) for r in cells for j in range(cols - 1)]
+    edges += [(r[j], below[j]) for r, below in zip(cells, cells[1:]) for j in range(cols)]
+    return graph([weight] * (rows * cols), [(a, b, rng.choice((1, -1))) for a, b in edges])
+
+
+def dominant_multigraph(rng, n, extra, sign):
+    """A random connected multigraph with ``extra`` edges beyond a spanning tree.
+
+    About a third of the extra edges come with a twin of the opposite
+    sign, so their entries cancel.  Every weight has the sign ``sign`` and
+    exceeds in size the sum of |signs| of the edges at its vertex.
+    """
+    edges = [(v, rng.randrange(v), rng.choice((1, -1))) for v in range(1, n)]
+    for _ in range(extra):
+        a, b = rng.sample(range(n), 2)
+        s = rng.choice((1, -1))
+        edges.append((a, b, s))
+        if rng.random() < 0.3:
+            edges.append((b, a, -s))
+    load = [0] * n
+    for a, b, _ in edges:
+        load[a] += 1
+        load[b] += 1
+    rng.shuffle(edges)
+    return graph([sign * (load[v] + rng.randint(1, 3)) for v in range(n)], edges)
+
+
+class TestGraphsWithCycles:
+    @staticmethod
+    def graphs():
+        """(graph, sgn w): grids and random multigraphs from 4 to 400 vertices."""
+        rng = random.Random(1981)
+        out = []
+        for rows, cols in [(2, 2), (3, 4), (5, 5), (4, 12), (8, 8), (10, 10), (12, 12), (20, 20)]:
+            sign = rng.choice((1, -1))
+            out.append((grid(rng, rows, cols, sign * rng.randint(5, 6)), sign))
+        for n in [5, 9, 17, 30, 45, 60, 60, 100, 150, 200, 400]:
+            sign = rng.choice((1, -1))
+            out.append((dominant_multigraph(rng, n, rng.randint(n // 4, n // 2 + 2), sign), sign))
+        return out
+
+    def test_dominant_forms_are_definite(self):
+        cancelled = 0
+        for g, sign in self.graphs():
+            assert g.edge_count >= g.vertex_count  # at least one cycle
+            a = intersection_matrix(g)
+            assert filling_signature(a) == sign * g.vertex_count
+            cancelled += sum(len(row) for row in a.nonzero_rows) < g.vertex_count + 2 * g.edge_count
+        assert cancelled  # some multigraph lost an entry to a cancelling pair
+
+    def test_smith_diagonal_is_the_determinant(self):
+        checked = 0
+        for g, _ in self.graphs():
+            if g.vertex_count <= 100:  # the dense determinant is cubic
+                a = intersection_matrix(g)
+                diagonal = smith_normal_form(a).diagonal
+                assert len(diagonal) == g.vertex_count
+                assert math.prod(diagonal) == abs(bareiss_det(a.to_rows())) != 0
+                checked += 1
+        assert checked == 14
+
+    def test_smith_matches_the_dense_elimination(self):
+        for g, _ in self.graphs():
+            if g.vertex_count <= 60:
+                a = intersection_matrix(g)
+                s, row_steps, col_steps = smith_normal_form_dense(a.to_rows(), a.cols)
+                dec = smith_normal_form(a)
+                assert dec.s.to_rows() == s
+                assert (dec.row_steps, dec.col_steps) == (row_steps, col_steps)

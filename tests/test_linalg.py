@@ -165,6 +165,20 @@ class TestSmithNormalForm:
         assert dec.diagonal[0] == 1
         assert dec.diagonal[1] == big * big
 
+    def test_a_matrix_keeps_its_one_decomposition(self, monkeypatch):
+        searches = []
+        find = linalg._find_min_pivot
+        monkeypatch.setattr(linalg, "_find_min_pivot", lambda *args: searches.append(1) or find(*args))
+        for rows in (CARTAN_A2, [[0, 3], [6, 4], [2, 2]], [[0]]):
+            a = IntMatrix.from_rows(rows)
+            dec = smith_normal_form(a)
+            del searches[:]
+            assert smith_normal_form(a) is dec
+            assert not searches  # the second call eliminates nothing
+            # an equal matrix is another object, and eliminates afresh
+            other = smith_normal_form(IntMatrix.from_rows(rows))
+            assert other is not dec and other == dec and searches
+
 
 class TestSmithAgainstEager:
     """The logged elimination rebuilds exactly the U, S, V of the eager one."""

@@ -25,6 +25,10 @@ ALL_TABLE_LABELS = (
 )
 
 
+def dynkin_form(family, parameter):
+    return intersection_matrix(dynkin_graph(DynkinLabel(family, parameter)))
+
+
 class TestDynkinLabel:
     def test_accepts_valid(self):
         assert DynkinLabel("A", 2).name == "A_1"
@@ -222,14 +226,14 @@ class TestIntersectionMatrix:
 
 class TestFillingInvariants:
     def test_signature_examples(self):
-        assert filling_signature(dynkin_graph(DynkinLabel("E", 6))) == -6
-        assert filling_signature(dynkin_graph(DynkinLabel("D", 3))) == -5
-        assert filling_signature(dynkin_graph(DynkinLabel("A", 10))) == -9
+        assert filling_signature(dynkin_form("E", 6)) == -6
+        assert filling_signature(dynkin_form("D", 3)) == -5
+        assert filling_signature(dynkin_form("A", 10)) == -9
 
     def test_cartan_negative_definite(self):
         for label in ALL_TABLE_LABELS:
             g = dynkin_graph(label)
-            assert filling_signature(g) == -g.vertex_count
+            assert filling_signature(intersection_matrix(g)) == -g.vertex_count
 
     def test_euler_characteristic(self):
         assert filling_euler_characteristic(dynkin_graph(DynkinLabel("E", 8))) == 9
@@ -245,25 +249,25 @@ class TestFillingInvariants:
 
 class TestLinkHomology:
     def test_examples(self):
-        assert link_first_homology(dynkin_graph(DynkinLabel("D", 3))) == FinAbGroup(0, (4,))
-        assert link_first_homology(dynkin_graph(DynkinLabel("E", 6))) == FinAbGroup(0, (3,))
-        assert link_first_homology(dynkin_graph(DynkinLabel("E", 8))) == FinAbGroup(0, ())
+        assert link_first_homology(dynkin_form("D", 3)) == FinAbGroup(0, (4,))
+        assert link_first_homology(dynkin_form("E", 6)) == FinAbGroup(0, (3,))
+        assert link_first_homology(dynkin_form("E", 8)) == FinAbGroup(0, ())
 
     def test_a_family_is_cyclic(self):
         for n in range(2, 12):
             g = dynkin_graph(DynkinLabel("A", n))
-            assert link_first_homology(g) == FinAbGroup(0, (n,))
+            assert link_first_homology(intersection_matrix(g)) == FinAbGroup(0, (n,))
 
     def test_d_family_parity(self):
         for n in range(2, 12):
             g = dynkin_graph(DynkinLabel("D", n))
             expected = (2, 2) if n % 2 == 0 else (4,)
-            assert link_first_homology(g).invariant_factors == expected
+            assert link_first_homology(intersection_matrix(g)).invariant_factors == expected
 
     def test_degenerate_rejected(self):
         g = PlumbingGraph.build([(0, 0)])
         with pytest.raises(NotRationalHomologySphere) as exc:
-            link_first_homology(g)
+            link_first_homology(intersection_matrix(g))
         assert exc.value.free_rank == 1
 
     def test_order_equals_det(self):
@@ -271,15 +275,16 @@ class TestLinkHomology:
         for _ in range(25):
             vertices, edges = random_negative_definite_tree(rng)
             g = PlumbingGraph.build(vertices, edges)
-            group = link_first_homology(g)
-            assert group.order() == abs(bareiss_det(intersection_matrix(g).to_rows()))
+            a = intersection_matrix(g)
+            group = link_first_homology(a)
+            assert group.order() == abs(bareiss_det(a.to_rows()))
 
 
 class TestAlpha:
     def test_examples(self):
-        assert link_first_homology(dynkin_graph(DynkinLabel("A", 4))).two_torsion_rank == 1
-        assert link_first_homology(dynkin_graph(DynkinLabel("D", 2))).two_torsion_rank == 2
-        assert link_first_homology(dynkin_graph(DynkinLabel("E", 6))).two_torsion_rank == 0
+        assert link_first_homology(dynkin_form("A", 4)).two_torsion_rank == 1
+        assert link_first_homology(dynkin_form("D", 2)).two_torsion_rank == 2
+        assert link_first_homology(dynkin_form("E", 6)).two_torsion_rank == 0
 
     def test_matches_mod2_kernel_dimension(self):
         rng = random.Random(6021023)
@@ -289,7 +294,7 @@ class TestAlpha:
             graphs.append(PlumbingGraph.build(vertices, edges))
         for g in graphs:
             a = intersection_matrix(g)
-            assert link_first_homology(g).two_torsion_rank == len(kernel_mod2(a))
+            assert link_first_homology(a).two_torsion_rank == len(kernel_mod2(a))
 
 
 class TestRecognizeDynkin:

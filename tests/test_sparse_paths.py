@@ -23,10 +23,12 @@ from linkimm.linalg import IntMatrix, SmithDecomposition, kernel_mod2, signature
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph, intersection_matrix
 
 import workloads
+from check import bareiss_det
 from oracles import (
     kernel_mod2_dense,
     random_matrix,
     random_symmetric,
+    signature_by_root_count,
     signature_fraction,
     smith_normal_form_dense,
 )
@@ -79,6 +81,26 @@ class TestSignature:
             a = IntMatrix.from_rows(rows)
             assert signature(a) == signature_fraction(a), rows
         assert zero_diagonal == 10000
+
+    def test_the_oracle_matches_root_counting(self):
+        # the oracle itself against the characteristic polynomial, with
+        # zero diagonals (its 2x2 pivots) and singular forms among them
+        rng = random.Random(4048)
+        kinds = set()
+        for k in range(360):
+            n = rng.randint(1, 6)
+            rows = random_symmetric(rng, n, -3, 3)
+            if k % 2:
+                for i in range(n):
+                    rows[i][i] = 0
+            if k % 3 == 0 and n > 1:
+                rows[-1] = list(rows[0])  # a repeated row and column: singular
+                for i in range(n):
+                    rows[i][-1] = rows[i][0]
+            sigma = signature_fraction(IntMatrix.from_rows(rows))
+            assert sigma == signature_by_root_count(rows), rows
+            kinds.add((k % 2, bareiss_det(rows) == 0))
+        assert kinds == {(0, False), (0, True), (1, False), (1, True)}
 
     def test_a_and_d_paths_up_to_400(self):
         sizes = list(range(2, 400, 23)) + [400]
@@ -243,9 +265,6 @@ class TestDenseOnRead:
         rng = random.Random(62)
         small = [IntMatrix(r, c, [0] * (r * c)) for r, c in [(0, 0), (0, 3), (3, 0), (2, 0), (0, 2), (2, 3)]]
         small += [IntMatrix.from_rows(random_matrix(rng, r, c)) for r in range(1, 7) for c in range(1, 7)]
-        for a in small:
-            s, _, _ = smith_normal_form_dense(a.to_rows(), a.cols)
-            assert smith_normal_form(a).s.to_rows() == s
         for a in small + [intersection_matrix(g) for g in ladder_graphs(pool_graphs)]:
             dec = smith_normal_form(a)
             assert "s" not in vars(dec)
@@ -253,3 +272,6 @@ class TestDenseOnRead:
             eager = IntMatrix(a.rows, a.cols,
                               [d[i] if i == j else 0 for i in range(a.rows) for j in range(a.cols)])
             assert dec.s == eager
+        for a in small:
+            s, _, _ = smith_normal_form_dense(a.to_rows(), a.cols)
+            assert smith_normal_form(a).s.to_rows() == s
