@@ -18,7 +18,9 @@ Every subcommand takes ``--format {json,md}`` (default md).  JSON output
 round-trips exactly: integers beyond the 53-bit safe range are emitted as
 decimal strings, exact rationals as "p/q" strings.  Exit codes: 0 success,
 2 usage or parse error (also a graph whose alpha exceeds ``MAX_ALPHA``,
-since Gamma_2(0) has 2^alpha classes), 3 mathematical rejection
+since Gamma_2(0) has 2^alpha classes, and a ``graph`` input of more than
+``MAX_VERTICES`` vertices, since its report prints n x n matrices of
+entries about n bits long), 3 mathematical rejection
 (degenerate form), 1 when the reader closes stdout before the report is
 written (no traceback).
 """
@@ -59,7 +61,7 @@ from .smale import (
     pushforward_j,
     reverse_orientation,
 )
-from .wu import CohClass, Z2Class, bockstein, form_group, gamma2
+from .wu import CohClass, Z2Class, bockstein, gamma2
 
 TABLE_LABELS = (
     [DynkinLabel("A", n) for n in range(2, 10)]
@@ -71,6 +73,10 @@ JSON_SAFE_MAX = 2 ** 53 - 1
 
 # Gamma_2(0) lists 2^alpha classes; alpha = 16 already prints about 10 MB.
 MAX_ALPHA = 16
+
+# The graph report prints A, U, S and V, whose entries on a chain grow to
+# about n bits: a 500-vertex chain already prints about 22 MB of JSON.
+MAX_VERTICES = 500
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +223,9 @@ def _cohomology_rows(a, h2) -> tuple:
 
 
 def graph_payload(g: PlumbingGraph, source: str) -> dict:
+    if g.vertex_count > MAX_VERTICES:
+        raise InvalidGraph(f"{g.vertex_count} vertices exceed the limit {MAX_VERTICES} "
+                           f"of the graph report, which prints n x n matrices")
     a = intersection_matrix(g)
     h2 = _bounded(link_first_homology(a))  # raises NotRationalHomologySphere when det = 0
     dec = smith_normal_form(a)  # the decomposition link_first_homology built
@@ -256,7 +265,7 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
 def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
     """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
     a = intersection_matrix(g)
-    h2 = _bounded(form_group(a))  # raises NotRationalHomologySphere when det = 0
+    h2 = _bounded(link_first_homology(a))  # raises NotRationalHomologySphere when det = 0
     basis, torsion_square, bock_table = _cohomology_rows(a, h2)
     label = recognize_dynkin(g)
     return {

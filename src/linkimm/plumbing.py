@@ -20,7 +20,7 @@ is D_{n+2} (n >= 2), and ``E`` takes parameter 6, 7, or 8 directly.
 
 from __future__ import annotations
 
-from .errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere
+from .errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere, NotSymmetric
 from .linalg import FinAbGroup, IntMatrix, cokernel, signature
 from .record import Record
 
@@ -229,7 +229,7 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     every weight and sign as a checked plain int, so the matrix skips the
     per-entry check; each edge adds its sign to both (i, j) and (j, i), so
     the matrix is born symmetric (``IntMatrix._trusted_symmetric``) and
-    ``signature`` and ``form_group`` skip the symmetry scan.
+    ``signature`` and ``link_first_homology`` skip the symmetry scan.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     rows = tuple([{i: w} if w else {} for i, (_, w) in enumerate(g.vertices)])
@@ -257,10 +257,13 @@ def filling_euler_characteristic(g: PlumbingGraph) -> int:
 
 
 def link_first_homology(a: IntMatrix) -> FinAbGroup:
-    """H_1(M(G); Z) = coker A, for A the intersection form of G.
+    """H_1(M(G); Z) = H^2(M(G); Z) = coker A, for A the intersection form of G.
 
-    Raises NotRationalHomologySphere (with the free rank) when det A = 0.
+    Raises NotSymmetric, before any elimination, unless A is a symmetric
+    form, then NotRationalHomologySphere (with the free rank) when det A = 0.
     """
+    if not a.is_symmetric():
+        raise NotSymmetric("intersection form must be symmetric")
     group = cokernel(a)
     if group.free_rank:
         raise NotRationalHomologySphere(group.free_rank)

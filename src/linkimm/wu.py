@@ -8,9 +8,10 @@ form A is modeled on the two-term complex Z^n --A--> Z^n:
 
 H^2 and the coordinates of its classes come from the one Smith
 decomposition U*A*V = S that A keeps (``smith_normal_form(a)``):
-``form_group`` takes its group and rejects degenerate forms (det A = 0)
-rather than supporting them partially, and each coordinate belongs to
-one of the diagonal positions in ``SmithDecomposition.factors``.
+``plumbing.link_first_homology`` takes its group and rejects asymmetric
+and degenerate forms (det A = 0) rather than supporting them partially,
+and each coordinate belongs to one of the diagonal positions in
+``SmithDecomposition.factors``.
 
 ``gamma2`` solves 2C = chi factor by factor.  ``bockstein`` is the
 connecting map of 0 -> Z -> Z -> Z_2 -> 0 computed on cochains: lift a
@@ -34,11 +35,10 @@ from .errors import (
     FreeRankUnsupported,
     NoPreimageFound,
     NotACocycle,
-    NotRationalHomologySphere,
-    NotSymmetric,
     NotTwoTorsion,
 )
 from .linalg import FinAbGroup, IntMatrix, smith_normal_form
+from .plumbing import link_first_homology
 from .record import Record
 
 
@@ -151,20 +151,6 @@ def gamma2(group: FinAbGroup, chi: CohClass) -> list:
     return [CohClass._trusted(group, combo) for combo in itertools.product(*per_factor)]
 
 
-def form_group(a: IntMatrix) -> FinAbGroup:
-    """H^2 = coker(A), the group of the Smith decomposition of A.
-
-    Raises NotSymmetric unless A is a symmetric form, and
-    NotRationalHomologySphere (with the free rank) when A is degenerate.
-    """
-    if not a.is_symmetric():
-        raise NotSymmetric("intersection form must be symmetric")
-    group = smith_normal_form(a).group
-    if group.free_rank:
-        raise NotRationalHomologySphere(group.free_rank)
-    return group
-
-
 def bockstein(a: IntMatrix, x: Z2Class) -> CohClass:
     """Connecting homomorphism H^1(M; Z_2) -> H^2(M; Z) on cochains.
 
@@ -172,9 +158,11 @@ def bockstein(a: IntMatrix, x: Z2Class) -> CohClass:
     when x is a cocycle), and expresses the result in invariant-factor
     coordinates through the rows of the transform U at the factors of
     ``smith_normal_form(a)`` (``factor_rows``, built once per
-    decomposition without the rest of U).
+    decomposition without the rest of U).  The group is
+    ``link_first_homology(a)``, so an asymmetric or degenerate A raises
+    NotSymmetric or NotRationalHomologySphere.
     """
-    group = form_group(a)
+    group = link_first_homology(a)
     smith = smith_normal_form(a)
     n = a.rows
     if len(x.bits) != n:
@@ -214,7 +202,7 @@ def realize_parallelization(a: IntMatrix, target: CohClass) -> Z2Class:
     """
     if not target.is_two_torsion:
         raise NotTwoTorsion(f"target {target} does not satisfy 2C = 0")
-    if target.parent != form_group(a):
+    if target.parent != link_first_homology(a):
         raise NoPreimageFound(f"{target} is not a class of coker A")
     smith = smith_normal_form(a)
     picked = [i for (i, _), c in zip(smith.factors, target.coords) if c]

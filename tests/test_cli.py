@@ -277,14 +277,16 @@ class TestBocksteinCommand:
         assert "free rank 1" in err
 
     def test_one_smith_form_per_payload(self, count_calls, record_results):
+        # link_first_homology is the one gate for H^2: the payload asks it
+        # once, and so does each Bockstein; every answer is the same decomposition
         graphs = self.corpus()
         decs = record_results(smith_normal_form)
         gates = count_calls(link_first_homology), count_calls(cokernel)
         for k, g in enumerate(graphs):
-            del decs[:]
-            cli.bockstein_payload(g, f"g{k}")
+            del decs[:], gates[0][:], gates[1][:]
+            doc = cli.bockstein_payload(g, f"g{k}")
             assert len({id(d) for d in decs}) == 1
-        assert [len(calls) for calls in gates] == [0, 0]
+            assert [len(calls) for calls in gates] == [1 + len(doc["bockstein"])] * 2
 
     def test_graph_payload_builds_one_form_and_eliminates_once(self, count_calls, record_results):
         forms = record_results(intersection_matrix)
@@ -347,6 +349,37 @@ class TestBocksteinCommand:
         assert code == 2 and not out
         assert "alpha = 17" in err and "limit 16" in err
         assert time.perf_counter() - start < 2
+
+
+class TestVertexCap:
+    """``graph`` prints n x n matrices, so it rejects more than MAX_VERTICES vertices."""
+
+    @staticmethod
+    def write_chain(tmp_path, n):
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": i, "weight": -2 - i % 5} for i in range(n)],
+            "edges": [{"a": i, "b": i + 1} for i in range(n - 1)],
+        }))
+        return str(path)
+
+    def test_chain_past_the_limit_exits_2(self, capsys, tmp_path):
+        # at 501 vertices the report would print about 22 MB
+        path = self.write_chain(tmp_path, cli.MAX_VERTICES + 1)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graph", path, "--format", "json")
+        assert code == 2 and not out
+        assert "501 vertices" in err and "limit 500" in err
+        assert time.perf_counter() - start < 2
+
+    def test_the_limit_is_inclusive_and_graph_only(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_VERTICES", 6)
+        assert run_json(capsys, "graph", self.write_chain(tmp_path, 6), "--format", "json")["vertices"] == 6
+        code, out, _ = run(capsys, "graph", self.write_chain(tmp_path, 7), "--format", "json")
+        assert code == 2 and not out
+        # the Bockstein report prints no n x n matrix, so it keeps no cap
+        doc = run_json(capsys, "bockstein", self.write_chain(tmp_path, 7), "--format", "json")
+        assert "intersection_matrix" not in doc
 
 
 class TestOneAnalysisPerForm:

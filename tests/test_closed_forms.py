@@ -13,7 +13,10 @@ chains of 2000:
   w_u, w_v -> w_u + e, w_v + e, leaves M unchanged, and on a tree so do
   flipping an edge sign and renumbering the vertices.  H^2, alpha,
   dim H^1(M; Z_2) and |Gamma_2(0)| stay; sigma shifts by exactly e and the
-  formal Smale type 3/2 (sigma - alpha) by 3e/2, so its integrality flips;
+  formal Smale type 3/2 (sigma - alpha) by 3e/2, so its integrality flips.
+  On an edge u-v of sign s that lies on a cycle the new edges must carry
+  signs -e (u-x) and s (x-v), so that the Schur complement of x gives back
+  the edge u-v of sign s; a sign-blind subdivision flips that edge;
 * lens spaces: the chain of weights -a_1, ..., -a_n (every a_i >= 2) has
   H^2 = Z/p, where p/q = [a_1, ..., a_n] is the Hirzebruch-Jung continued
   fraction a_1 - 1/(a_2 - 1/(... - 1/a_n)), and sigma = -n;
@@ -27,11 +30,14 @@ chains of 2000:
   and at n <= 60 the sparse elimination logs the steps of the dense one.
 """
 
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from linkimm import linalg
 from linkimm.classify import formal_smale_type
 from linkimm.errors import NotRationalHomologySphere
 from linkimm.linalg import FinAbGroup, cokernel, kernel_mod2, smith_normal_form
@@ -137,6 +143,65 @@ class TestBlowUp:
             h2_after, sigma_after, _, _ = invariants(graph(weights, edges))
             caught += (h2_after, sigma_after) != (h2, sigma + e)
         assert caught >= 45
+
+
+def cyclic_graph(rng, n, extra):
+    """(weights, edges, on_cycle) of a random tree plus ``extra`` random edges.
+
+    ``on_cycle[k]`` marks the extra edges, each of which closes a cycle
+    with the tree path between its ends.
+    """
+    weights, edges = random_tree(rng, n)
+    for _ in range(extra):
+        a, b = rng.sample(range(n), 2)
+        edges.append((a, b, rng.choice((1, -1))))
+    return weights, edges, [False] * (n - 1) + [True] * extra
+
+
+def blow_up_cycle_edge(rng, weights, edges, on_cycle, signed=True):
+    """Move R1 on a random cycle edge u-v of sign s, with e = +-1.
+
+    A new vertex x of weight e replaces u-v by u-x of sign -e and x-v of
+    sign s, and w_u, w_v -> w_u + e, w_v + e.  ``signed=False`` gives u-x
+    the sign +1, the sign-blind move.  Returns (weights, edges, on_cycle, e).
+    """
+    e = rng.choice((1, -1))
+    k = rng.choice([i for i, c in enumerate(on_cycle) if c])
+    u, v, s = edges[k]
+    x = len(weights)
+    weights = weights + [e]
+    weights[u] += e
+    weights[v] += e
+    edges = edges[:k] + [(u, x, -e if signed else 1), (x, v, s)] + edges[k + 1:]
+    on_cycle = on_cycle[:k] + [True, True] + on_cycle[k + 1:]
+    return weights, edges, on_cycle, e
+
+
+class TestBlowUpOnCycles:
+    def test_signed_blow_ups_keep_the_link(self):
+        rng = random.Random(1981)
+        finite = 0
+        for _ in range(150):
+            weights, edges, on_cycle = cyclic_graph(rng, rng.randint(3, 30), rng.randint(1, 4))
+            h2, sigma, h1, listed = invariants(graph(weights, edges))
+            shift = 0
+            for _ in range(rng.randint(1, 3)):
+                weights, edges, on_cycle, e = blow_up_cycle_edge(rng, weights, edges, on_cycle)
+                shift += e
+            assert invariants(graph(weights, edges)) == (h2, sigma + shift, h1, listed)
+            finite += not h2.free_rank
+        assert finite >= 100
+
+    def test_the_sign_blind_move_changes_the_link(self):
+        rng = random.Random(1982)
+        caught = 0
+        for _ in range(100):
+            weights, edges, on_cycle = cyclic_graph(rng, rng.randint(3, 30), rng.randint(1, 4))
+            h2, sigma, _, _ = invariants(graph(weights, edges))
+            weights, edges, _, e = blow_up_cycle_edge(rng, weights, edges, on_cycle, signed=False)
+            h2_after, sigma_after, _, _ = invariants(graph(weights, edges))
+            caught += (h2_after, sigma_after) != (h2, sigma + e)
+        assert caught >= 30
 
 
 def continued_fraction(a) -> tuple:
@@ -284,3 +349,40 @@ class TestGraphsWithCycles:
                 dec = smith_normal_form(a)
                 assert dec.s.to_rows() == s
                 assert (dec.row_steps, dec.col_steps) == (row_steps, col_steps)
+
+    def test_signature_numerators_obey_hadamard(self):
+        """Every reduced row of the signature elimination is bounded by a minor.
+
+        A definite form takes no zero-diagonal step.  After pivots P, row r
+        is the Schur row det A[P+r, P+c] / det A[P, P] over its least
+        common denominator, which divides det A[P, P], so each numerator
+        and the denominator is at most a minor of A in size, and a minor
+        is at most the product of the row norms (Hadamard): x^2 <= prod
+        |a_i|^2.  Without the gcd reduction the numerators outgrow that
+        bound within a few pivots, long before the run would finish.
+        """
+        lines, first = inspect.getsourcelines(linalg.signature)
+        (store,) = [first + k for k, line in enumerate(lines) if line.strip() == "den[r] = dr"]
+        forms = [intersection_matrix(grid(random.Random(5), 10, 10, -5))]
+        forms += [intersection_matrix(g) for g, _ in self.graphs() if g.vertex_count <= 100]
+        for a in forms:
+            bound = math.prod(sum(x * x for x in row.values()) for row in a.nonzero_rows)
+            checked = 0
+
+            def trace(frame, event, arg):
+                nonlocal checked
+                if frame.f_code is not linalg.signature.__code__:
+                    return None
+                if event == "line" and frame.f_lineno == store:
+                    values = [frame.f_locals["dr"], *frame.f_locals["row"].values()]
+                    assert max(x * x for x in values) <= bound
+                    checked += 1
+                return trace
+
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                assert abs(linalg.signature(a)) == a.rows
+            finally:
+                sys.settrace(previous)
+            assert checked >= a.rows - 1

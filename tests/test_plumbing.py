@@ -2,8 +2,8 @@ import json
 import random
 
 import pytest
-from linkimm.errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere
-from linkimm.linalg import FinAbGroup, kernel_mod2
+from linkimm.errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere, NotSymmetric
+from linkimm.linalg import FinAbGroup, IntMatrix, kernel_mod2, smith_normal_form
 from linkimm.plumbing import (
     DynkinLabel,
     PlumbingGraph,
@@ -269,6 +269,13 @@ class TestLinkHomology:
         with pytest.raises(NotRationalHomologySphere) as exc:
             link_first_homology(intersection_matrix(g))
         assert exc.value.free_rank == 1
+
+    def test_asymmetric_rejected_before_any_elimination(self, count_calls):
+        eliminations = count_calls(smith_normal_form)
+        for rows in ([[1, 1], [0, 1]], [[0, 1], [0, 0]], [[2, 1, 0]]):  # unimodular, degenerate, not square
+            with pytest.raises(NotSymmetric):
+                link_first_homology(IntMatrix.from_rows(rows))
+        assert not eliminations
 
     def test_order_equals_det(self):
         rng = random.Random(11)
