@@ -20,10 +20,6 @@ class SingularityRecord(Record):
 
     _fields = ("label", "germ", "group_name", "group_order", "np_smale")
 
-    def __init__(self, label: DynkinLabel, germ: str, group_name: str, group_order: int, np_smale: int):
-        self.__dict__.update(label=label, germ=germ, group_name=group_name,
-                             group_order=group_order, np_smale=np_smale)
-
 
 def singularity_record(label: DynkinLabel) -> SingularityRecord:
     n = label.parameter

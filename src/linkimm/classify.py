@@ -27,7 +27,6 @@ the formal value of the invariant pair, with no geometric claim attached
 from __future__ import annotations
 
 from .errors import HalfIntegerResult, IncomparableManifolds, NotTwoTorsion
-from .linalg import FinAbGroup
 from .plumbing import (
     DynkinLabel,
     dynkin_graph,
@@ -56,18 +55,13 @@ class RegularHomotopyClass(Record):
     def __init__(self, wu: CohClass, smale_type: int, parallelization_tag: str = ALMOST_CONTACT):
         if not wu.is_two_torsion:
             raise NotTwoTorsion(f"Wu class {wu} is not 2-torsion")
-        self.__dict__.update(wu=wu, smale_type=smale_type, parallelization_tag=parallelization_tag)
+        self._store(wu, smale_type, parallelization_tag)
 
 
 class TableRow(Record):
     """The four computed columns for one singularity type, and chi of its filling."""
 
     _fields = ("label", "h2", "signature", "alpha", "smale_type", "euler_characteristic")
-
-    def __init__(self, label: DynkinLabel, h2: FinAbGroup, signature: int, alpha: int,
-                 smale_type: int, euler_characteristic: int):
-        self.__dict__.update(label=label, h2=h2, signature=signature, alpha=alpha,
-                             smale_type=smale_type, euler_characteristic=euler_characteristic)
 
 
 def classify_link_inclusion(row: TableRow) -> RegularHomotopyClass:

@@ -18,9 +18,13 @@ Every subcommand takes ``--format {json,md}`` (default md).  JSON output
 round-trips exactly: integers beyond the 53-bit safe range are emitted as
 decimal strings, exact rationals as "p/q" strings.  Exit codes: 0 success,
 2 usage or parse error (also a graph whose alpha exceeds ``MAX_ALPHA``,
-since Gamma_2(0) has 2^alpha classes, and a ``graph`` input of more than
+since Gamma_2(0) has 2^alpha classes; a ``graph`` input of more than
 ``MAX_VERTICES`` vertices, since its report prints n x n matrices of
-entries about n bits long), 3 mathematical rejection
+entries about n bits long; a ``link`` label or ``table --family/--n``
+row whose diagram has more than ``MAX_DIAGRAM_VERTICES`` vertices, since
+the report builds the diagram vertex by vertex; and a report holding an
+integer of more decimal digits than ``sys.get_int_max_str_digits()``,
+the most Python will write out), 3 mathematical rejection
 (degenerate form), 1 when the reader closes stdout before the report is
 written (no traceback).
 """
@@ -78,6 +82,11 @@ MAX_ALPHA = 16
 # about n bits: a 500-vertex chain already prints about 22 MB of JSON.
 MAX_VERTICES = 500
 
+# The link and table reports build the diagram of a label, about 1.4 KB a
+# vertex: A 100001 takes 148 MiB, where a label of nine digits would take
+# all memory.  ``smale`` reads a closed form and builds no diagram.
+MAX_DIAGRAM_VERTICES = 100_000
+
 
 # ---------------------------------------------------------------------------
 # label parsing
@@ -107,6 +116,14 @@ def parse_label(words) -> DynkinLabel:
     raise InvalidParameter(f"cannot parse label {' '.join(words)!r}")
 
 
+def _buildable(label: DynkinLabel) -> DynkinLabel:
+    """label itself; InvalidParameter, before any building, past MAX_DIAGRAM_VERTICES vertices."""
+    if label.vertex_count > MAX_DIAGRAM_VERTICES:
+        raise InvalidParameter(f"the diagram of {label.family} has more vertices than the limit "
+                               f"{MAX_DIAGRAM_VERTICES} of the link and table reports")
+    return label
+
+
 # ---------------------------------------------------------------------------
 # payload helpers (plain dicts; renderers below turn them into text)
 
@@ -118,15 +135,20 @@ def jsonable(value):
     so parsing the document recovers every number bit-exactly.  Values
     are dispatched on their exact type: int, bool, str, None, Fraction,
     list, tuple and dict, the types payloads hold; any other value, a
-    subclass included, raises TypeError.
+    subclass included, raises TypeError.  A list or tuple of JSON-safe
+    ints is returned as it is, not copied: ``json.dumps`` writes either
+    as an array, and a report of 2^alpha classes then holds one copy of
+    its rows, not two.
     """
     kind = type(value)
     if kind is int:
         return value if -JSON_SAFE_MAX <= value <= JSON_SAFE_MAX else str(value)
     if kind is list or kind is tuple:
-        # matrix rows are mostly small ints; convert those in place
-        return [v if type(v) is int and -JSON_SAFE_MAX <= v <= JSON_SAFE_MAX else jsonable(v)
-                for v in value]
+        for v in value:
+            if type(v) is not int or not -JSON_SAFE_MAX <= v <= JSON_SAFE_MAX:
+                return [v if type(v) is int and -JSON_SAFE_MAX <= v <= JSON_SAFE_MAX else jsonable(v)
+                        for v in value]
+        return value
     if kind is dict:
         return {k: jsonable(v) for k, v in value.items()}
     if kind is bool or kind is str or value is None:
@@ -216,7 +238,7 @@ def _cohomology_rows(a, h2) -> tuple:
     basis = kernel_mod2(a)
     return (
         [list(v) for v in basis],
-        [list(c.coords) for c in gamma2(h2, CohClass.zero(h2))],
+        [c.coords for c in gamma2(h2, CohClass.zero(h2))],  # 2^alpha rows: no list copies
         [{"kernel_vector": list(vec), "class": list(bockstein(a, Z2Class(vec)).coords)}
          for vec in basis],
     )
@@ -508,10 +530,10 @@ def _dispatch(args):
         if args.family is None:
             labels = TABLE_LABELS
         else:
-            labels = [DynkinLabel(args.family, args.n)]
+            labels = [_buildable(DynkinLabel(args.family, args.n))]
         return table_payload(labels), render_table_md
     if args.command == "link":
-        return link_payload(parse_label(args.label)), render_link_md
+        return link_payload(_buildable(parse_label(args.label))), render_link_md
     if args.command == "graph":
         return graph_payload(_load_graph(args.path), args.path), render_graph_md
     if args.command == "bockstein":
@@ -526,13 +548,22 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, md_renderer = _dispatch(args)
+        text = json.dumps(jsonable(payload), indent=2) if args.format == "json" else md_renderer(payload)
     except (InvalidParameter, InvalidGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NotRationalHomologySphere as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = json.dumps(jsonable(payload), indent=2) if args.format == "json" else md_renderer(payload)
+    except ValueError as exc:
+        # str() of an int past the digit limit is an input too big to print;
+        # any other ValueError is a fault and keeps its traceback
+        if "integer string conversion" not in str(exc):
+            raise
+        print(f"error: the report holds an integer of more than {sys.get_int_max_str_digits()} "
+              f"decimal digits, the most Python writes out (sys.get_int_max_str_digits())",
+              file=sys.stderr)
+        return 2
     try:
         print(text)
         sys.stdout.flush()

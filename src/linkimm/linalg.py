@@ -70,10 +70,10 @@ class IntMatrix(Record):
     dense entries only when something reads them: ``entries`` itself,
     ``row``, ``to_rows``, indexing, ``==``, ``hash``, ``repr`` or ``str``.
 
-    Matrices the library computes itself skip the checks through one of two
-    trusted constructors: ``_trusted`` for dense entries (S, U and V of a
-    Smith decomposition), ``_trusted_symmetric`` for a symmetric form born
-    from its nonzero rows (an intersection form).
+    Matrices the library computes itself skip the checks through
+    ``IntMatrix._trusted``: S, U and V of a Smith decomposition with their
+    dense ``entries``, an intersection form with its ``nonzero_rows`` and
+    ``_symmetric=True``.
     """
 
     _fields = ("rows", "cols", "entries")
@@ -88,26 +88,7 @@ class IntMatrix(Record):
                 raise ValueError(f"matrix dimension {dim!r} must be an integer >= 0")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self.__dict__.update(rows=rows, cols=cols, entries=tuple(map(int, entries)))
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
-        """A matrix from its dense entries, a tuple of plain ints: no check."""
-        m = object.__new__(cls)
-        m.__dict__.update(rows=rows, cols=cols, entries=entries)
-        return m
-
-    @classmethod
-    def _trusted_symmetric(cls, nonzero_rows: tuple) -> "IntMatrix":
-        """The n x n symmetric form with these n rows of nonzero plain ints: no check.
-
-        Row i is a dict {j: A[i, j]} with A[i, j] == A[j, i], so
-        ``is_symmetric`` never scans the form.
-        """
-        n = len(nonzero_rows)
-        m = object.__new__(cls)
-        m.__dict__.update(rows=n, cols=n, nonzero_rows=nonzero_rows, _symmetric=True)
-        return m
+        self._store(rows, cols, tuple(map(int, entries)))
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -166,8 +147,8 @@ class IntMatrix(Record):
     def _symmetric(self) -> bool:
         """Whether A equals its transpose: one scan of ``nonzero_rows`` per matrix.
 
-        A form from ``_trusted_symmetric`` holds the answer from the start
-        and is never scanned; this module is the one place that sets it.
+        An intersection form is born holding the answer
+        (``plumbing.intersection_matrix``) and is never scanned.
         """
         if not self.is_square:
             return False
@@ -212,29 +193,25 @@ class SmithDecomposition(Record):
     _fields = ("rows", "cols", "diagonal", "row_steps", "col_steps")
     _hidden = ("row_steps", "col_steps")
 
-    def __init__(self, rows: int, cols: int, diagonal: tuple, row_steps: tuple, col_steps: tuple):
-        self.__dict__.update(rows=rows, cols=cols, diagonal=diagonal,
-                             row_steps=row_steps, col_steps=col_steps)
-
     @functools.cached_property
     def s(self) -> IntMatrix:
         nr, nc = self.rows, self.cols
         entries = [0] * (nr * nc)
         for i, d in enumerate(self.diagonal):
             entries[i * nc + i] = d
-        return IntMatrix._trusted(nr, nc, tuple(entries))
+        return IntMatrix._trusted(rows=nr, cols=nc, entries=tuple(entries))
 
     @functools.cached_property
     def u(self) -> IntMatrix:
         n = self.rows
         rows = _replay_rows(n, self.row_steps, range(n))
-        return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
+        return IntMatrix._trusted(rows=n, cols=n, entries=tuple(itertools.chain.from_iterable(rows)))
 
     @functools.cached_property
     def v(self) -> IntMatrix:
         n = self.cols
         rows = zip(*_replay_rows(n, self.col_steps, range(n)))  # the replay builds V^T
-        return IntMatrix._trusted(n, n, tuple(itertools.chain.from_iterable(rows)))
+        return IntMatrix._trusted(rows=n, cols=n, entries=tuple(itertools.chain.from_iterable(rows)))
 
     @functools.cached_property
     def factor_rows(self) -> tuple:
@@ -282,7 +259,7 @@ class FinAbGroup(Record):
         for a, b in zip(fs, fs[1:]):
             if b % a:
                 raise ValueError(f"broken divisibility chain: {a} does not divide {b}")
-        self.__dict__.update(free_rank=free_rank, invariant_factors=fs)
+        self._store(free_rank, fs)
 
     def order(self) -> int:
         """Order of the group; only defined when the free rank is zero."""

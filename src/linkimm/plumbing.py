@@ -42,7 +42,7 @@ class DynkinLabel(Record):
                 )
         elif not isinstance(parameter, int) or parameter not in (6, 7, 8):
             raise InvalidParameter(f"family E needs parameter 6, 7, or 8, got {parameter!r}")
-        self.__dict__.update(family=family, parameter=parameter)
+        self._store(family, parameter)
 
     @property
     def vertex_count(self) -> int:
@@ -93,21 +93,10 @@ class PlumbingGraph(Record):
         # tuple() of a list, not of a generator: CPython resizes the latter,
         # and once freed it stays in the tuple free list until a full garbage
         # collection, so a long run of small graphs grows that list by megabytes
-        self.__dict__.update(vertices=tuple([(int(v), int(w)) for v, w in vertices]),
-                             edges=tuple([(int(a), int(b), int(s)) for a, b, s in edges]))
+        self._store(tuple([(int(v), int(w)) for v, w in vertices]),
+                    tuple([(int(a), int(b), int(s)) for a, b, s in edges]))
         if not self._is_connected():
             raise InvalidGraph("graph is not connected")
-
-    @classmethod
-    def _trusted(cls, vertices: tuple, edges: tuple) -> "PlumbingGraph":
-        """A graph the library built itself, valid by construction: no check.
-
-        ``vertices`` and ``edges`` are tuples of plain-int tuples, in the
-        normalized form the constructor would store.
-        """
-        g = object.__new__(cls)
-        g.__dict__.update(vertices=vertices, edges=edges)
-        return g
 
     def _is_connected(self) -> bool:
         ids = [v for v, _ in self.vertices]
@@ -215,7 +204,7 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
     else:
         edges = [(i, i + 1, 1) for i in range(k - 2)]  # path 0..k-2
         edges.append((2, k - 1, 1))
-    return PlumbingGraph._trusted(vertices, tuple(edges))
+    return PlumbingGraph._trusted(vertices=vertices, edges=tuple(edges))
 
 
 def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
@@ -228,8 +217,8 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
     on the ~3n nonzeros of a tree never allocates them.  The graph stores
     every weight and sign as a checked plain int, so the matrix skips the
     per-entry check; each edge adds its sign to both (i, j) and (j, i), so
-    the matrix is born symmetric (``IntMatrix._trusted_symmetric``) and
-    ``signature`` and ``link_first_homology`` skip the symmetry scan.
+    the matrix is born symmetric (``_symmetric=True``) and ``signature``
+    and ``link_first_homology`` skip the symmetry scan.
     """
     index = {v: i for i, (v, _) in enumerate(g.vertices)}
     rows = tuple([{i: w} if w else {} for i, (_, w) in enumerate(g.vertices)])
@@ -242,7 +231,8 @@ def intersection_matrix(g: PlumbingGraph) -> IntMatrix:
                 row[c] = v
             else:
                 del row[c]
-    return IntMatrix._trusted_symmetric(rows)
+    n = len(rows)
+    return IntMatrix._trusted(rows=n, cols=n, nonzero_rows=rows, _symmetric=True)
 
 
 def filling_signature(a: IntMatrix) -> int:

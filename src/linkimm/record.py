@@ -1,9 +1,25 @@
-"""The one base of linkimm's immutable value records.
+"""The one base of linkimm's immutable value records, and the one place that stores their fields.
 
 A record class lists its field names, in constructor order, in
-``_fields``, and writes its own ``__init__``: it checks its arguments and
-stores the normalized values straight into the instance ``__dict__``.
-``Record`` then gives it value semantics:
+``_fields``.  From that list ``Record`` compiles, as
+``collections.namedtuple`` does, two methods:
+
+* ``_store(self, <fields>)``, compiled with the class, sets the fields,
+  given by position or by name; a missing, extra or unknown argument
+  raises TypeError.  It is the ``__init__`` of a class with no checks;
+  a class that checks its arguments ends its own ``__init__`` with it.
+* ``_trusted(*, <names>)``, compiled on its first call (few classes use
+  it, and a compile adds to every process's start-up), builds a value
+  the library computed itself, with no checks.  It takes the fields by
+  name, and any value a ``functools.cached_property`` of the class would
+  build: a matrix born sparse gets ``nonzero_rows`` and ``_symmetric``
+  and no dense ``entries``.
+
+Both set attributes with ``object.__setattr__``, so CPython 3.11+ keeps
+them as inline values, with no per-instance dict until something reads
+``__dict__`` (as ``cached_property`` and ``vars`` do): a two-field
+record takes 88 B, where a dict-backed one took 240 B.  ``Record`` then
+gives every class value semantics:
 
 * equality -- two records are equal only when they are of the same class
   and their field tuples are equal; against an object of any other class
@@ -15,13 +31,24 @@ stores the normalized values straight into the instance ``__dict__``.
 * immutability -- assigning or deleting any attribute raises
   AttributeError.
 
-Fields live in ``__dict__``, so a ``functools.cached_property`` of a record
-(which writes to ``__dict__`` directly) works, and ``vars(record)`` shows
-what has been built.  Each class reads its field tuple with one
-``operator.attrgetter``, made when the class is defined.
+Each class reads its field tuple with one ``operator.attrgetter``, made
+when the class is defined.
 """
 
+import functools
 import operator
+
+_ABSENT = object()  # a value left out of ``_trusted``, for its cached_property to build
+
+
+def _compile(cls, name, params, body):
+    """The method ``name`` of ``cls`` from its parameters and body lines, compiled once."""
+    source = "\n    ".join([f"def {name}({', '.join(params)}):", *body])
+    namespace = {"_new": object.__new__, "_set": object.__setattr__, "_ABSENT": _ABSENT}
+    exec(source, namespace)
+    method = namespace[name]
+    method.__qualname__ = f"{cls.__qualname__}.{name}"
+    return method
 
 
 class Record:
@@ -29,7 +56,26 @@ class Record:
     _hidden = ()
 
     def __init_subclass__(cls):
-        cls._key = operator.attrgetter(*cls._fields)
+        fields = cls._fields
+        cls._key = operator.attrgetter(*fields)
+        checks = "__init__" in vars(cls)
+        cls._store = _compile(cls, "_store" if checks else "__init__", ["self", *fields],
+                              [f"_set(self, {name!r}, {name})" for name in fields])
+        if not checks:
+            cls.__init__ = cls._store
+
+    @classmethod
+    def _trusted(cls, **attributes):
+        """Compile the class's own ``_trusted`` on its first call, and call it."""
+        lazy = [name for name, value in vars(cls).items() if isinstance(value, functools.cached_property)]
+        given = [name for name in cls._fields if name not in lazy]
+        params = ["cls", "*", *given, *[f"{name}=_ABSENT" for name in lazy]]
+        body = ["self = _new(cls)",
+                *[f"_set(self, {name!r}, {name})" for name in given],
+                *[f"if {name} is not _ABSENT: _set(self, {name!r}, {name})" for name in lazy],
+                "return self"]
+        cls._trusted = classmethod(_compile(cls, "_trusted", params, body))
+        return cls._trusted(**attributes)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

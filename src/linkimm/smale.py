@@ -45,9 +45,6 @@ class SmaleClassR4(Record):
 
     _fields = ("a", "b")
 
-    def __init__(self, a: int, b: int):
-        self.__dict__.update(a=a, b=b)
-
     def __add__(self, other: "SmaleClassR4") -> "SmaleClassR4":
         return SmaleClassR4(self.a + other.a, self.b + other.b)
 
@@ -60,9 +57,6 @@ class SmaleClassR5(Record):
 
     _fields = ("value",)
 
-    def __init__(self, value: int):
-        self.__dict__.update(value=value)
-
     def __add__(self, other: "SmaleClassR5") -> "SmaleClassR5":
         return SmaleClassR5(self.value + other.value)
 
@@ -73,10 +67,7 @@ class SmaleClassR5(Record):
 class Quaternion(Record):
     """Quaternion with exact rational components (1, i, j, k coordinates)."""
 
-    _fields = ("r", "i", "j", "k")
-
-    def __init__(self, r: Fraction, i: Fraction, j: Fraction, k: Fraction):
-        self.__dict__.update(r=r, i=i, j=j, k=k)
+    _fields = ("r", "i", "j", "k")  # Fractions
 
     @staticmethod
     def of(r=0, i=0, j=0, k=0) -> "Quaternion":
@@ -131,7 +122,7 @@ class RotationMatrix4(Record):
     def __init__(self, entries: tuple):
         if len(entries) != 4 or any(len(r) != 4 for r in entries):
             raise ValueError("RotationMatrix4 needs 4x4 entries")
-        self.__dict__.update(entries=entries)
+        self._store(entries)
 
     @staticmethod
     def from_columns(cols) -> "RotationMatrix4":

@@ -68,14 +68,7 @@ class CohClass(Record):
         _check_ints(coords)
         reduced = [int(c) % d for c, d in zip(coords, facs)]
         reduced += [int(c) for c in coords[len(facs):]]
-        self.__dict__.update(parent=parent, coords=tuple(reduced))
-
-    @classmethod
-    def _trusted(cls, parent: FinAbGroup, coords: tuple) -> "CohClass":
-        """A class whose coords are already a tuple of reduced plain ints: no check."""
-        c = object.__new__(cls)
-        c.__dict__.update(parent=parent, coords=coords)
-        return c
+        self._store(parent, tuple(reduced))
 
     @staticmethod
     def zero(parent: FinAbGroup) -> "CohClass":
@@ -117,7 +110,7 @@ class Z2Class(Record):
     def __init__(self, bits: tuple):
         bits = tuple(bits)
         _check_ints(bits)
-        self.__dict__.update(bits=tuple([int(b) % 2 for b in bits]))
+        self._store(tuple([int(b) % 2 for b in bits]))
 
     @property
     def is_zero(self) -> bool:
@@ -148,7 +141,7 @@ def gamma2(group: FinAbGroup, chi: CohClass) -> list:
             half = (x // 2) % d
             per_factor.append(tuple(sorted((half, (half + d // 2) % d))))
     # each per-factor solution is already reduced mod its factor
-    return [CohClass._trusted(group, combo) for combo in itertools.product(*per_factor)]
+    return [CohClass._trusted(parent=group, coords=combo) for combo in itertools.product(*per_factor)]
 
 
 def bockstein(a: IntMatrix, x: Z2Class) -> CohClass:

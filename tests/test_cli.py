@@ -382,6 +382,65 @@ class TestVertexCap:
         assert "intersection_matrix" not in doc
 
 
+class TestDiagramCap:
+    """``link`` and ``table --family/--n`` build the diagram, so they reject more than MAX_DIAGRAM_VERTICES."""
+
+    def test_a_nine_digit_label_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "link", "A", "1000000001")
+        assert code == 2 and not out
+        assert f"limit {cli.MAX_DIAGRAM_VERTICES}" in err
+        assert time.perf_counter() - start < 2
+
+    # A n has n - 1 vertices and D n has n + 2: each at_cap has 7
+    @pytest.mark.parametrize("argv, at_cap", [(["link", "A", "{}"], 8), (["link", "D", "{}"], 5),
+                                              (["table", "--family", "A", "--n", "{}"], 8)])
+    def test_the_limit_is_inclusive(self, capsys, monkeypatch, argv, at_cap):
+        monkeypatch.setattr(cli, "MAX_DIAGRAM_VERTICES", 7)
+        code, out, _ = run(capsys, *[w.format(at_cap) for w in argv])
+        assert code == 0 and out
+        code, out, err = run(capsys, *[w.format(at_cap + 1) for w in argv])
+        assert code == 2 and not out and "limit 7" in err
+
+    def test_smale_builds_no_diagram_and_keeps_no_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_DIAGRAM_VERTICES", 7)
+        assert run_json(capsys, "smale", "A", "1000000000000", "--immersion", "np",
+                        "--format", "json")["smale_r5"] == str(-(10 ** 24 - 1))
+
+
+class TestDigitLimit:
+    """A report integer past Python's int-to-str limit exits 2 with a message, not a traceback."""
+
+    @staticmethod
+    def write_chain(tmp_path, n, weight):
+        path = tmp_path / f"chain{n}.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": i, "weight": weight} for i in range(n)],
+            "edges": [{"a": i, "b": i + 1} for i in range(n - 1)],
+        }))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["graph", "bockstein"])
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    @pytest.mark.parametrize("n, weight", [(3, -10 ** 2000), (300, -2 ** 60)],
+                             ids=["3 weights of 2001 digits", "300 weights of 60 bits"])
+    def test_exits_2_naming_the_limit(self, capsys, tmp_path, command, fmt, n, weight):
+        path = self.write_chain(tmp_path, n, weight)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, path, "--format", fmt)
+        assert code == 2 and not out
+        assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+        assert time.perf_counter() - start < 5
+
+    def test_other_value_errors_keep_their_traceback(self, capsys, monkeypatch):
+        def broken(label):
+            raise ValueError("a fault, not an input too big to print")
+
+        monkeypatch.setattr(cli, "link_payload", broken)
+        with pytest.raises(ValueError, match="a fault"):
+            main(["link", "A", "2"])
+
+
 class TestOneAnalysisPerForm:
     """A Dynkin report runs one Smith form and one signature of its form."""
 
@@ -494,6 +553,15 @@ class TestJsonExactness:
         for value in (1.5, object(), [0, 1.5], {"x": object()}):
             with pytest.raises(TypeError):
                 jsonable(value)
+
+    def test_jsonable_shares_rows_of_safe_ints(self):
+        # a report of 2^alpha classes holds its rows once, not a second copy
+        row, coords = [0, -3, 2 ** 53 - 1], (1, 0)
+        assert jsonable(row) is row and jsonable(coords) is coords
+        out = jsonable([row, (True, 1), [2 ** 53]])
+        assert out[0] is row and out[1:] == [[True, 1], [str(2 ** 53)]]
+        payload = cli.graph_payload(TestBocksteinCommand.corpus()[0], "g.json")
+        assert all(type(c) is tuple for c in payload["gamma2_zero"])
 
     @staticmethod
     def recursive_jsonable(value):

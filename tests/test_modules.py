@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +32,16 @@ def test_linalg_does_not_import_fractions():
     assert "fractions" not in imported and "Fraction" not in {
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
         for alias in node.names}
+
+
+def test_only_record_stores_fields():
+    # linkimm.record compiles each record class's store and trusted
+    # constructor; no other module writes an instance's fields itself
+    store = re.compile(r"__dict__\.update|object\.__new__|object\.__setattr__")
+    found = [f"{path.name}:{number}" for path in MODULES if path.name != "record.py"
+             for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if store.search(line)]
+    assert MODULES and not found
 
 
 def test_no_module_imports_dataclasses():

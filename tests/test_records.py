@@ -1,9 +1,14 @@
 """The value semantics every linkimm record shares: repr, equality, hash, immutability.
 
 Each sample is built twice by its factory; the expected repr strings are
-the library's published ones and must not drift.
+the library's published ones and must not drift.  The constructor
+``Record`` compiles for a class with no checks of its own takes its
+fields as an explicit signature would, and every record keeps its fields
+out of a per-instance dict.
 """
 
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -22,6 +27,7 @@ from linkimm import (
     SmithDecomposition,
     TableRow,
     Z2Class,
+    gamma2,
     singularity_record,
     smith_normal_form,
     table_row,
@@ -166,3 +172,57 @@ def test_smith_steps_take_part_in_equality_but_not_in_repr():
     assert repr(plain) == repr(swapped)
     assert plain != swapped
     assert plain == SmithDecomposition(1, 2, (3,), (), ())
+
+
+# the classes whose constructor is the one Record compiles, with one valid argument tuple each
+DEFAULT_CONSTRUCTED = {
+    SingularityRecord: (DynkinLabel("A", 3), "x^2 + y^2 + z^3", "C_3 (cyclic)", 3, -8),
+    TableRow: (DynkinLabel("A", 2), FinAbGroup(0, (2,)), -1, 1, -3, 2),
+    SmithDecomposition: (1, 1, (3,), (), ()),
+    SmaleClassR4: (1, -2),
+    SmaleClassR5: (-1079,),
+    Quaternion: (Fraction(1), Fraction(0), Fraction(0), Fraction(0)),
+}
+
+
+@pytest.mark.parametrize("cls", DEFAULT_CONSTRUCTED, ids=lambda cls: cls.__name__)
+def test_default_constructor_takes_exactly_the_fields(cls):
+    args = DEFAULT_CONSTRUCTED[cls]
+    assert cls(*args) == cls(**dict(zip(cls._fields, args)))
+    with pytest.raises(TypeError, match="missing 1 required positional argument"):
+        cls(*args[:-1])
+    with pytest.raises(TypeError, match="positional arguments but"):
+        cls(*args, 0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'extra'"):
+        cls(*args, extra=0)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(*args, **{cls._fields[0]: args[0]})
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info < (3, 11),
+                    reason="inline instance values came with CPython 3.11")
+def test_gamma2_classes_keep_no_instance_dict():
+    class DictBacked:
+        """Two fields stored through the instance dict, as records stored them before."""
+
+        def __init__(self, parent, coords):
+            self.__dict__.update(parent=parent, coords=coords)
+
+    group = FinAbGroup(0, (2,) * 14)
+    zero = CohClass(group, (0,) * 14)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        classes = gamma2(group, zero)
+        middle = tracemalloc.get_traced_memory()[0]
+        backed = [DictBacked(c.parent, c.coords) for c in classes]
+        end = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    n = len(classes)
+    # gamma2 also makes each class's coords tuple; DictBacked shares them
+    coords = sum(sys.getsizeof(c.coords) for c in classes)
+    per_class = (middle - start - sys.getsizeof(classes) - coords) / n
+    per_backed = (end - middle - sys.getsizeof(backed)) / n
+    assert n == 2 ** 14 and vars(classes[0]) == {"parent": group, "coords": (0,) * 14}
+    assert 0 < per_class <= per_backed / 2, (per_class, per_backed)
