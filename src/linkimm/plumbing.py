@@ -20,6 +20,8 @@ is D_{n+2} (n >= 2), and ``E`` takes parameter 6, 7, or 8 directly.
 
 from __future__ import annotations
 
+import itertools
+
 from .errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere, NotSymmetric
 from .linalg import FinAbGroup, IntMatrix, cokernel, signature
 from .record import Record
@@ -64,54 +66,65 @@ class DynkinLabel(Record):
 class PlumbingGraph(Record):
     """Connected weighted graph: (id, euler weight) vertices, signed edges.
 
-    Edge endpoints must be existing vertex ids, self-loops are rejected,
-    and multi-edges are allowed (their signs add up in the intersection
-    form).  Disconnected graphs are rejected outright.  Checked values
-    are stored as plain ints (True as 1, 1.0 as 1), so the JSON of
-    ``to_dict`` always parses back through ``from_dict``.
+    The constructor, the one way to build a checked graph, takes iterables
+    of (id, weight) vertex records and of (a, b) or (a, b, sign) edge
+    records, sign 1 when left out.  Ids are unique, ids and weights are
+    ints (a bool counts as 0/1, a float is rejected), each endpoint equals
+    an id and each sign +1 or -1 (an endpoint or sign such as 1.0 is stored
+    as that int), self-loops and disconnected graphs are rejected, and
+    multi-edges are allowed (their signs add up in the intersection form).
+    Any other record raises InvalidGraph naming it.  Values are stored as
+    plain ints, so the JSON of ``to_dict`` parses back through ``from_dict``.
     """
 
     _fields = ("vertices", "edges")  # of (id, weight); of (id_a, id_b, sign)
 
-    def __init__(self, vertices: tuple, edges: tuple = ()):
-        ids = [v for v, _ in vertices]
-        if not ids:
-            raise InvalidGraph("a plumbing graph needs at least one vertex")
-        if len(set(ids)) != len(ids):
-            raise InvalidGraph("duplicate vertex ids")
-        for v, w in vertices:
+    def __init__(self, vertices, edges=()):
+        # lists, then tuple() of each: CPython resizes a tuple built from a
+        # generator, and once freed it stays in the tuple free list until a
+        # full garbage collection, so a long run of small graphs grows it
+        checked_vertices, checked_edges = [], []
+        index = {}  # id -> position; the endpoint check and the connectivity walk share it
+        for record in vertices:
+            try:
+                v, w = record
+            except (TypeError, ValueError):
+                raise InvalidGraph(f"vertex record {record!r} must be (id, weight)") from None
             if not isinstance(v, int) or not isinstance(w, int):
                 raise InvalidGraph(f"vertex ({v!r}, {w!r}) must be integer id and weight")
-        known = set(ids)
-        for a, b, s in edges:
-            if a not in known or b not in known:
-                raise InvalidGraph(f"edge ({a}, {b}) references a missing vertex")
-            if a == b:
-                raise InvalidGraph(f"self-loop at vertex {a}")
+            if v in index:
+                raise InvalidGraph(f"duplicate vertex id {v!r}")
+            index[v] = len(checked_vertices)
+            checked_vertices.append((int(v), int(w)))
+        if not index:
+            raise InvalidGraph("a plumbing graph needs at least one vertex")
+        adj = [[] for _ in checked_vertices]
+        for record in edges:
+            try:
+                a, b, *sign = record
+                (s,) = sign or (1,)
+                i, j = index[a], index[b]
+            except KeyError:
+                raise InvalidGraph(f"edge ({a!r}, {b!r}) references a missing vertex") from None
+            except (TypeError, ValueError):
+                raise InvalidGraph(f"edge record {record!r} must be (a, b) or (a, b, sign)") from None
+            if i == j:
+                raise InvalidGraph(f"self-loop at vertex {a!r}")
             if s not in (1, -1):
                 raise InvalidGraph(f"edge sign must be +1 or -1, got {s!r}")
-        # tuple() of a list, not of a generator: CPython resizes the latter,
-        # and once freed it stays in the tuple free list until a full garbage
-        # collection, so a long run of small graphs grows that list by megabytes
-        self._store(tuple([(int(v), int(w)) for v, w in vertices]),
-                    tuple([(int(a), int(b), int(s)) for a, b, s in edges]))
-        if not self._is_connected():
-            raise InvalidGraph("graph is not connected")
-
-    def _is_connected(self) -> bool:
-        ids = [v for v, _ in self.vertices]
-        adj = {v: set() for v in ids}
-        for a, b, _ in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {ids[0]}
-        stack = [ids[0]]
+            adj[i].append(j)
+            adj[j].append(i)
+            checked_edges.append((checked_vertices[i][0], checked_vertices[j][0], 1 if s == 1 else -1))
+        seen = {0}
+        stack = [0]
         while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return len(seen) == len(ids)
+            for j in adj[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        if len(seen) != len(adj):
+            raise InvalidGraph("graph is not connected")
+        self._store(tuple(checked_vertices), tuple(checked_edges))
 
     @property
     def vertex_count(self) -> int:
@@ -126,24 +139,14 @@ class PlumbingGraph(Record):
         return self.edge_count == self.vertex_count - 1
 
     @staticmethod
-    def build(vertices, edges=()) -> "PlumbingGraph":
-        """Construct from iterables of (id, weight) and (a, b[, sign]).
-
-        Values pass through unchanged, so the constructor's checks apply:
-        InvalidGraph on an id or weight that is not an int, or a sign that
-        is not +1 or -1.
-        """
-        vs = tuple([(v, w) for v, w in vertices])
-        es = tuple([(*e, 1) if len(e) == 2 else tuple(e) for e in edges])
-        return PlumbingGraph(vs, es)
-
-    @staticmethod
     def from_dict(data) -> "PlumbingGraph":
-        """Parse the JSON graph schema.
+        """Read the JSON graph schema into the constructor's records.
 
         Expected shape: {"vertices": [{"id": int, "weight": int}, ...],
-        "edges": [{"a": int, "b": int, "sign": 1|-1}, ...]}.  The "sign"
-        key defaults to 1 when omitted.
+        "edges": [{"a": int, "b": int, "sign": 1|-1}, ...]}, where "sign"
+        defaults to 1.  One rule is JSON's own: every id, weight, endpoint
+        and sign is a JSON integer, so ``true``, ``false`` and ``1.0`` are
+        rejected.  The constructor checks the rest.
         """
         if not isinstance(data, dict):
             raise InvalidGraph("graph document must be a JSON object")
@@ -154,28 +157,21 @@ class PlumbingGraph(Record):
         raw_edges = data.get("edges", [])
         if not isinstance(raw_vertices, list) or not isinstance(raw_edges, list):
             raise InvalidGraph('"vertices" and "edges" must be arrays')
-        def require_int(value, context):
-            # JSON booleans are Python ints; keep them out of ids and weights
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise InvalidGraph(f"{context} must be an integer, got {value!r}")
-            return value
-
         vertices = []
         for item in raw_vertices:
             if not isinstance(item, dict) or "id" not in item or "weight" not in item:
                 raise InvalidGraph(f"vertex record {item!r} needs 'id' and 'weight'")
-            vertices.append((require_int(item["id"], "vertex id"),
-                             require_int(item["weight"], "vertex weight")))
+            vertices.append((item["id"], item["weight"]))
         edges = []
         for item in raw_edges:
             if not isinstance(item, dict) or "a" not in item or "b" not in item:
                 raise InvalidGraph(f"edge record {item!r} needs 'a' and 'b'")
-            sign = item.get("sign", 1)
-            if sign not in (1, -1) or isinstance(sign, bool):
-                raise InvalidGraph(f"edge record {item!r} has a malformed sign")
-            edges.append((require_int(item["a"], "edge endpoint"),
-                          require_int(item["b"], "edge endpoint"), sign))
-        return PlumbingGraph(tuple(vertices), tuple(edges))
+            edges.append((item["a"], item["b"], item.get("sign", 1)))
+        records = vertices + edges
+        if set(map(type, itertools.chain(*records))) - {int}:  # JSON true, false and 1.0 parse as bool and float
+            bad = next(r for r in records if set(map(type, r)) - {int})
+            raise InvalidGraph(f"graph record {bad} holds a number that is not a JSON integer")
+        return PlumbingGraph(vertices, edges)
 
     def to_dict(self) -> dict:
         return {

@@ -144,7 +144,7 @@ def test_criterion_6_bockstein_properties():
     graphs = []
     for _ in range(100):
         vertices, edges = random_negative_definite_tree(rng, 8)
-        graphs.append(PlumbingGraph.build(vertices, edges))
+        graphs.append(PlumbingGraph(vertices, edges))
     matrices += [intersection_matrix(g) for g in graphs]
     ok = True
     for a in matrices:

@@ -129,31 +129,31 @@ class TestTableRow:
             assert row.euler_characteristic == filling_euler_characteristic(dynkin_graph(label)), label
 
     def test_checks_no_connectivity(self, monkeypatch):
-        # the library builds the Dynkin diagram connected; only outside graphs are walked
-        walked = []
-        walk = PlumbingGraph._is_connected
+        # the library builds the Dynkin diagram unchecked; only outside graphs are checked
+        checked = []
+        check = PlumbingGraph.__init__
 
-        def counted(g):
-            walked.append(g)
-            return walk(g)
+        def counted(g, *args):
+            checked.append(g)
+            check(g, *args)
 
-        monkeypatch.setattr(PlumbingGraph, "_is_connected", counted)
+        monkeypatch.setattr(PlumbingGraph, "__init__", counted)
         for label in (DynkinLabel("A", 2), DynkinLabel("D", 7), DynkinLabel("E", 8)):
             table_row(label)
-        assert walked == []
-        PlumbingGraph.build([(0, -2), (1, -2)], [(0, 1)])
-        assert len(walked) == 1
+        assert checked == []
+        PlumbingGraph([(0, -2), (1, -2)], [(0, 1)])
+        assert len(checked) == 1
 
 
 class TestFormalSmaleType:
     def test_integral_case(self):
-        a = intersection_matrix(PlumbingGraph.build([(0, -2)]))
+        a = intersection_matrix(PlumbingGraph([(0, -2)]))
         value, integral = formal_smale_type(filling_signature(a), link_first_homology(a).two_torsion_rank)
         assert integral and value == -3  # sigma = -1, alpha = 1
 
     def test_non_integral_case(self):
         # sigma = -1, alpha = 0: 3/2*(-1) is a half-integer
-        a = intersection_matrix(PlumbingGraph.build([(0, -3)]))
+        a = intersection_matrix(PlumbingGraph([(0, -3)]))
         value, integral = formal_smale_type(filling_signature(a), link_first_homology(a).two_torsion_rank)
         assert not integral
         assert value == Fraction(-3, 2)

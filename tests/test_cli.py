@@ -158,6 +158,14 @@ class TestGraph:
         code, _, err = run(capsys, "graph", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["graph", "bockstein"])
+    def test_non_integer_number_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "bool.json"
+        path.write_text('{"vertices": [{"id": 0, "weight": true}]}')
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "JSON integer" in err and "Traceback" not in err
+
     def test_not_json_exits_2(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("not json at all")

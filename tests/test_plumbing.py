@@ -93,7 +93,7 @@ class TestDynkinGraph:
                   + [DynkinLabel("E", k) for k in (6, 7, 8)])
         for label in labels:
             g = dynkin_graph(label)
-            assert g == PlumbingGraph.build(g.vertices, g.edges), label
+            assert g == PlumbingGraph(g.vertices, g.edges), label
             assert all(type(x) is int for item in g.vertices + g.edges for x in item), label
 
 
@@ -128,9 +128,30 @@ class TestGraphValidation:
         ([(0, 2.7), ("1", "-2")], [("0", 1, 1.0)]),
     ], ids=["float-weight", "string-id", "mixed"])
     def test_build_rejects_non_int_values(self, vertices, edges):
-        # build passes the values through; it does not round or parse them
+        # the constructor does not round or parse a value
         with pytest.raises(InvalidGraph):
-            PlumbingGraph.build(vertices, edges)
+            PlumbingGraph(vertices, edges)
+
+    @pytest.mark.parametrize("vertices, edges", [
+        (((0,),), ()),
+        ((5,), ()),
+        ((None,), ()),
+        (((0, -2, 1),), ()),
+        (((0, -2), (1, -2)), ((0, 1, 1, 1),)),
+        (((0, -2), (1, -2)), ((0,),)),
+        (((0, -2), (1, -2)), (5,)),
+        (((0, -2), (1, -2)), (([0], 1),)),
+        (((0, -2), (1, -2)), ((0, 1, [1]),)),
+    ], ids=["short-vertex", "int-vertex", "none-vertex", "long-vertex", "long-edge", "short-edge",
+            "int-edge", "list-endpoint", "list-sign"])
+    def test_malformed_records_raise_invalid_graph(self, vertices, edges):
+        with pytest.raises(InvalidGraph, match="record|sign"):
+            PlumbingGraph(vertices, edges)
+
+    def test_two_field_edge_has_sign_one(self):
+        g = PlumbingGraph(((0, -2), (1, -2)), ((0, 1),))
+        assert g.edges == ((0, 1, 1),)
+        assert g == PlumbingGraph(iter([(0, -2), (1, -2)]), iter([[0, 1, 1]]))
 
     def test_json_roundtrip(self):
         g = dynkin_graph(DynkinLabel("E", 6))
@@ -164,10 +185,24 @@ class TestGraphValidation:
             {"vertices": [{"id": 0, "weight": "x"}]},
             {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],
              "edges": [{"a": 0, "b": 1, "sign": 3}]},
+            # a record that is a list, a string or null
+            *[{"vertices": [{"id": 0, "weight": -2}, item]} for item in ([1, -2], "1", None)],
+            *[{"vertices": [{"id": 0, "weight": -2}], "edges": [item]} for item in ([0, 0], "0", None)],
         ],
     )
     def test_json_schema_violations(self, doc):
         with pytest.raises(InvalidGraph):
+            PlumbingGraph.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1"], ids=["true", "false", "1.0", "string"])
+    @pytest.mark.parametrize("key", ["id", "weight", "a", "b", "sign"])
+    def test_json_numbers_must_be_json_integers(self, key, value):
+        doc = {"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}],
+               "edges": [{"a": 0, "b": 1, "sign": 1}]}
+        assert PlumbingGraph.from_dict(doc).edges == ((0, 1, 1),)
+        record = doc["vertices"][1] if key in ("id", "weight") else doc["edges"][0]
+        record[key] = value
+        with pytest.raises(InvalidGraph, match="not a JSON integer"):
             PlumbingGraph.from_dict(doc)
 
     @pytest.mark.parametrize("doc", [
@@ -189,17 +224,17 @@ class TestIntersectionMatrix:
         assert intersection_matrix(g).to_rows() == [[-2, 1], [1, -2]]
 
     def test_negative_edge_sign(self):
-        g = PlumbingGraph.build([(0, -2), (1, -2)], [(0, 1, -1)])
+        g = PlumbingGraph([(0, -2), (1, -2)], [(0, 1, -1)])
         assert intersection_matrix(g).to_rows() == [[-2, -1], [-1, -2]]
 
     def test_multi_edges_sum(self):
-        g = PlumbingGraph.build([(0, -1), (1, -3)], [(0, 1, 1), (0, 1, 1), (0, 1, -1)])
+        g = PlumbingGraph([(0, -1), (1, -3)], [(0, 1, 1), (0, 1, 1), (0, 1, -1)])
         assert intersection_matrix(g).to_rows() == [[-1, 1], [1, -3]]
 
     def test_always_symmetric(self):
         rng = random.Random(4242)
         graphs = [dynkin_graph(label) for label in ALL_TABLE_LABELS]
-        graphs += [PlumbingGraph.build(*random_negative_definite_tree(rng)) for _ in range(30)]
+        graphs += [PlumbingGraph(*random_negative_definite_tree(rng)) for _ in range(30)]
         for g in graphs:
             a = intersection_matrix(g)
             assert vars(a).get("_symmetric") is True  # born symmetric: no scan
@@ -210,7 +245,7 @@ class TestIntersectionMatrix:
         graphs = [dynkin_graph(label) for label in ALL_TABLE_LABELS]
         for _ in range(10):
             vertices, edges = random_negative_definite_tree(rng)
-            built = PlumbingGraph.build(vertices, edges)
+            built = PlumbingGraph(vertices, edges)
             graphs += [built, PlumbingGraph.from_dict(built.to_dict())]
         for g in graphs:
             assert all(type(e) is int for e in intersection_matrix(g).entries)
@@ -241,7 +276,7 @@ class TestFillingInvariants:
         assert filling_euler_characteristic(dynkin_graph(DynkinLabel("D", 15))) == 18
 
     def test_euler_characteristic_with_cycle(self):
-        g = PlumbingGraph.build(
+        g = PlumbingGraph(
             [(0, -2), (1, -2), (2, -2)], [(0, 1, 1), (1, 2, 1), (2, 0, 1)]
         )
         assert filling_euler_characteristic(g) == 3  # 1 - b_1 + #V = 1 - 1 + 3
@@ -265,7 +300,7 @@ class TestLinkHomology:
             assert link_first_homology(intersection_matrix(g)).invariant_factors == expected
 
     def test_degenerate_rejected(self):
-        g = PlumbingGraph.build([(0, 0)])
+        g = PlumbingGraph([(0, 0)])
         with pytest.raises(NotRationalHomologySphere) as exc:
             link_first_homology(intersection_matrix(g))
         assert exc.value.free_rank == 1
@@ -281,7 +316,7 @@ class TestLinkHomology:
         rng = random.Random(11)
         for _ in range(25):
             vertices, edges = random_negative_definite_tree(rng)
-            g = PlumbingGraph.build(vertices, edges)
+            g = PlumbingGraph(vertices, edges)
             a = intersection_matrix(g)
             group = link_first_homology(a)
             assert group.order() == abs(bareiss_det(a.to_rows()))
@@ -298,7 +333,7 @@ class TestAlpha:
         graphs = [dynkin_graph(lbl) for lbl in ALL_TABLE_LABELS]
         for _ in range(30):
             vertices, edges = random_negative_definite_tree(rng)
-            graphs.append(PlumbingGraph.build(vertices, edges))
+            graphs.append(PlumbingGraph(vertices, edges))
         for g in graphs:
             a = intersection_matrix(g)
             assert link_first_homology(a).two_torsion_rank == len(kernel_mod2(a))
@@ -306,19 +341,19 @@ class TestAlpha:
 
 class TestRecognizeDynkin:
     def test_rejects_wrong_weight(self):
-        g = PlumbingGraph.build([(0, -3)])
+        g = PlumbingGraph([(0, -3)])
         assert recognize_dynkin(g) is None
 
     def test_rejects_negative_sign(self):
-        g = PlumbingGraph.build([(0, -2), (1, -2)], [(0, 1, -1)])
+        g = PlumbingGraph([(0, -2), (1, -2)], [(0, 1, -1)])
         assert recognize_dynkin(g) is None
 
     def test_rejects_cycle(self):
-        g = PlumbingGraph.build([(0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)])
+        g = PlumbingGraph([(0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)])
         assert recognize_dynkin(g) is None
 
     def test_rejects_degree_four(self):
-        g = PlumbingGraph.build(
+        g = PlumbingGraph(
             [(0, -2), (1, -2), (2, -2), (3, -2), (4, -2)],
             [(0, 1), (0, 2), (0, 3), (0, 4)],
         )
@@ -326,18 +361,18 @@ class TestRecognizeDynkin:
 
     def test_rejects_two_forks(self):
         # two trivalent vertices: an H-shaped tree
-        g = PlumbingGraph.build(
+        g = PlumbingGraph(
             [(i, -2) for i in range(6)],
             [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)],
         )
         assert recognize_dynkin(g) is None
 
     def test_recognizes_relabeled_path(self):
-        g = PlumbingGraph.build([(10, -2), (20, -2), (30, -2)], [(30, 20), (20, 10)])
+        g = PlumbingGraph([(10, -2), (20, -2), (30, -2)], [(30, 20), (20, 10)])
         assert recognize_dynkin(g) == DynkinLabel("A", 4)
 
     def test_rejects_long_e_arm(self):
         # single fork with arms (1, 2, 5): neither D nor E
         edges = [(i, i + 1) for i in range(7)] + [(2, 8)]
-        g = PlumbingGraph.build([(i, -2) for i in range(9)], edges)
+        g = PlumbingGraph([(i, -2) for i in range(9)], edges)
         assert recognize_dynkin(g) is None

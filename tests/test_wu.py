@@ -208,7 +208,7 @@ class TestBockstein:
         rng = random.Random(271828)
         for _ in range(40):
             vertices, edges = random_negative_definite_tree(rng)
-            a = intersection_matrix(PlumbingGraph.build(vertices, edges))
+            a = intersection_matrix(PlumbingGraph(vertices, edges))
             span = kernel_span(a)
             for x in span:
                 assert bockstein(a, x).is_two_torsion
@@ -325,8 +325,8 @@ class TestRealizeParallelization:
 
     def test_alpha_15_star_is_one_solve(self, count_calls, record_results):
         # centre -1 with 16 leaves of -2: H^2 = Z_2^14 + Z_28, alpha = 15
-        g = PlumbingGraph.build([(0, -1)] + [(v, -2) for v in range(1, 17)],
-                                [(0, v, 1) for v in range(1, 17)])
+        g = PlumbingGraph([(0, -1)] + [(v, -2) for v in range(1, 17)],
+                          [(0, v, 1) for v in range(1, 17)])
         a = intersection_matrix(g)
         h = cokernel(a)
         assert h.two_torsion_rank == 15
@@ -342,8 +342,8 @@ class TestRealizeParallelization:
     def test_reads_columns_of_v_only(self, record_results):
         decs = record_results(smith_normal_form)
         for leaves in range(1, 9):
-            g = PlumbingGraph.build([(0, -1)] + [(v, -2) for v in range(1, leaves + 1)],
-                                    [(0, v, 1) for v in range(1, leaves + 1)])
+            g = PlumbingGraph([(0, -1)] + [(v, -2) for v in range(1, leaves + 1)],
+                              [(0, v, 1) for v in range(1, leaves + 1)])
             a = intersection_matrix(g)
             h = cokernel(a)
             if h.free_rank:  # centre -1 with two leaves is degenerate
@@ -377,7 +377,7 @@ class TestRealizeParallelization:
             leaves = rng.randint(1, 8)
             vertices = [(0, rng.randint(-6, -1))] + [(v, rng.choice((-2, -3, -4))) for v in range(1, leaves + 1)]
             edges = [(0, v, rng.choice((1, -1))) for v in range(1, leaves + 1)]
-            a = intersection_matrix(PlumbingGraph.build(vertices, edges))
+            a = intersection_matrix(PlumbingGraph(vertices, edges))
             h = cokernel(a)
             if h.free_rank or h.two_torsion_rank > 6 or h.two_torsion_rank in seen:
                 continue
@@ -388,7 +388,7 @@ class TestRealizeParallelization:
         rng = random.Random(314159)
         for _ in range(40):
             vertices, edges = random_negative_definite_tree(rng)
-            self.assert_matches_brute_force(intersection_matrix(PlumbingGraph.build(vertices, edges)))
+            self.assert_matches_brute_force(intersection_matrix(PlumbingGraph(vertices, edges)))
 
     def test_surjectivity_on_random_trees(self):
         rng = random.Random(314159)
@@ -396,7 +396,7 @@ class TestRealizeParallelization:
 
         for _ in range(40):
             vertices, edges = random_negative_definite_tree(rng)
-            g = PlumbingGraph.build(vertices, edges)
+            g = PlumbingGraph(vertices, edges)
             a = intersection_matrix(g)
             h = cokernel(a)
             targets = gamma2(h, CohClass.zero(h))
