@@ -251,7 +251,6 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
     a = intersection_matrix(g)
     h2 = _bounded(link_first_homology(a))  # raises NotRationalHomologySphere when det = 0
     dec = smith_normal_form(a)  # the decomposition link_first_homology built
-    u = dec.u  # the certificate's U, built first: the Bockstein rows are then read off it
     sigma = filling_signature(a)
     basis, torsion_square, bock_table = _cohomology_rows(a, h2)
     value, integral = formal_smale_type(sigma, h2.two_torsion_rank)
@@ -264,7 +263,7 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
         "edges": g.edge_count,
         "intersection_matrix": a.to_rows(),
         "smith": {
-            "u": u.to_rows(),
+            "u": dec.u.to_rows(),
             "s": dec.s.to_rows(),
             "v": dec.v.to_rows(),
             "diagonal": list(dec.diagonal),
@@ -538,9 +537,7 @@ def _dispatch(args):
         return graph_payload(_load_graph(args.path), args.path), render_graph_md
     if args.command == "bockstein":
         return bockstein_payload(_load_graph(args.path), args.path), render_bockstein_md
-    if args.command == "smale":
-        return smale_payload(parse_label(args.label), args.immersion), render_smale_md
-    raise AssertionError(f"unhandled command {args.command}")
+    return smale_payload(parse_label(args.label), args.immersion), render_smale_md
 
 
 def main(argv=None) -> int:

@@ -177,13 +177,12 @@ class SmithDecomposition(Record):
     and V^T that of the column steps (a column step on V is logged as a
     row step on V^T).  ``_replay_rows`` reads any chosen rows of such a
     product off its log.  ``u`` and ``v`` ask it for every row, on first
-    read; ``factor_rows`` asks for the rows of U at ``factors`` (or slices
-    them out of U once U is built), and ``v_columns`` for chosen rows of
-    V^T, the columns of V.  ``s`` is built from the diagonal on first
-    read.  A caller that reads only ``diagonal``, ``factors`` or ``group``
-    never pays for S or a transform, whose entries can run to hundreds of
-    bits, and one that reads ``factor_rows`` or ``v_columns`` pays only
-    for those rows.
+    read; ``factor_rows`` asks for the rows of U at ``factors``, and
+    ``v_columns`` for chosen rows of V^T, the columns of V.  ``s`` is
+    built from the diagonal on first read.  A caller that reads only
+    ``diagonal``, ``factors`` or ``group`` never pays for S or a
+    transform, whose entries can run to hundreds of bits, and one that
+    reads ``factor_rows`` or ``v_columns`` pays only for those rows.
 
     ``factors`` and ``group`` are the one reading of coker A off the
     diagonal; the coordinate of the factor at position i is read through
@@ -217,8 +216,6 @@ class SmithDecomposition(Record):
     def factor_rows(self) -> tuple:
         """Row i of U for each (i, d) in ``factors``, in order, as tuples."""
         picked = [i for i, _ in self.factors]
-        if "u" in self.__dict__:
-            return tuple([self.u.row(i) for i in picked])
         return tuple(map(tuple, _replay_rows(self.rows, self.row_steps, picked)))
 
     def v_columns(self, positions) -> list:
@@ -407,6 +404,12 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     has |x| >= |p| and is nonzero.  The divisibility step combines two
     diagonal entries only when d_i does not divide d_j, so in
     x*d_i + y*d_j = g the coefficient y is nonzero, and so is y*d_j/g.
+
+    One sweep of the divisibility chain makes S[i,i] | S[i+1,i+1].  Once
+    index i has met every later index, d_i divides every later d_j (or
+    d_i = 0 and every later d_j is 0).  A later step replaces two entries
+    that d_i divides by their gcd and lcm, which d_i divides too, so no
+    later step undoes what index i made.
     """
     if "_smith" in a.__dict__:
         return a._smith
@@ -495,26 +498,23 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     # Divisibility chain: col_i += col_j, a 2x2 row combine and col_j -=
     # c*col_i turn diag(di, dj) into diag(g, di/g*dj), g = gcd(di, dj);
-    # zero entries sink to the end (gcd(0, d) = d).
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            if d[i] == 1:
-                continue  # 1 divides every d[j]
-            for j in range(i + 1, limit):
-                di, dj = d[i], d[j]
-                if di == 0 and dj == 0:
-                    continue
-                if di != 0 and dj % di == 0:
-                    continue
-                g, x, y = _xgcd(di, dj)
-                col_steps.append(("axpy", i, j, 1))
-                row_steps.append(("combine", i, j, (x, y, -(dj // g), di // g)))
-                # di does not divide dj, so y != 0 and the step is never trivial
-                col_steps.append(("axpy", j, i, -((y * dj) // g)))
-                d[i], d[j] = g, di // g * dj
-                changed = True
+    # zero entries sink to the end (gcd(0, d) = d).  One sweep suffices
+    # (see the docstring).
+    for i in range(limit - 1):
+        if d[i] == 1:
+            continue  # 1 divides every d[j]
+        for j in range(i + 1, limit):
+            di, dj = d[i], d[j]
+            if di == 0 and dj == 0:
+                continue
+            if di != 0 and dj % di == 0:
+                continue
+            g, x, y = _xgcd(di, dj)
+            col_steps.append(("axpy", i, j, 1))
+            row_steps.append(("combine", i, j, (x, y, -(dj // g), di // g)))
+            # di does not divide dj, so y != 0 and the step is never trivial
+            col_steps.append(("axpy", j, i, -((y * dj) // g)))
+            d[i], d[j] = g, di // g * dj
 
     a.__dict__["_smith"] = SmithDecomposition(nr, nc, tuple(d), tuple(row_steps), tuple(col_steps))
     return a._smith

@@ -20,8 +20,6 @@ import pathlib
 import sys
 
 ALLOWED = {
-    # argparse admits only the five subcommands
-    ("cli", 'raise AssertionError(f"unhandled command {args.command}")'),
     # a closed stdout and the script entry point: tests run these in a
     # `python -m linkimm.cli` subprocess, which the trace does not follow
     ("cli", "except BrokenPipeError:"),

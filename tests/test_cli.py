@@ -158,10 +158,19 @@ class TestGraph:
         code, _, err = run(capsys, "graph", str(path))
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["graph", "bockstein"])
-    def test_non_integer_number_exits_2(self, capsys, tmp_path, command):
-        path = tmp_path / "bool.json"
-        path.write_text('{"vertices": [{"id": 0, "weight": true}]}')
+    BOOL_WEIGHT = '{"vertices": [{"id": 0, "weight": true}]}'
+    FLOAT_SIGN = ('{"vertices": [{"id": 0, "weight": -2}, {"id": 1, "weight": -2}], '
+                  '"edges": [{"a": 0, "b": 1, "sign": 1.0}]}')
+
+    @pytest.mark.parametrize("command, doc", [
+        pytest.param("graph", BOOL_WEIGHT, id="graph"),
+        pytest.param("bockstein", BOOL_WEIGHT, id="bockstein"),
+        pytest.param("graph", FLOAT_SIGN, id="graph-float-sign"),
+        pytest.param("bockstein", FLOAT_SIGN, id="bockstein-float-sign"),
+    ])
+    def test_non_integer_number_exits_2(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "number.json"
+        path.write_text(doc)
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "JSON integer" in err and "Traceback" not in err
@@ -317,14 +326,22 @@ class TestBocksteinCommand:
             assert len({id(d) for d in decs if "u" in vars(d)}) == 1
             assert len({id(d) for d in decs if "v" in vars(d)}) == 1
 
-    def test_graph_payload_replays_u_and_v_once(self, count_calls):
-        # U is built before the Bockstein rows, which are then read off it
+    def test_graph_payload_replays_u_and_v_once(self, count_calls, record_results):
+        # U and V once each for the certificate, and the factor rows of U
+        # once more when the Bockstein table reads them (alpha > 0)
+        decs = record_results(smith_normal_form)
         replays = count_calls(linalg._replay_rows)
         alphas = set()
         for k, g in enumerate(self.corpus()):
-            del replays[:]
-            alphas.add(cli.graph_payload(g, f"g{k}")["alpha"])
-            assert len(replays) == 2
+            del decs[:], replays[:]
+            doc = cli.graph_payload(g, f"g{k}")
+            alphas.add(doc["alpha"])
+            dec, everything = decs[0], list(range(doc["vertices"]))
+            log = {id(dec.row_steps): "U", id(dec.col_steps): "V"}
+            want = [("U", everything), ("V", everything)]
+            if doc["alpha"]:
+                want.append(("U", [i for i, _ in dec.factors]))
+            assert sorted((log[id(steps)], list(picked)) for _, steps, picked in replays) == sorted(want)
         assert max(alphas) >= 3
 
     def test_one_symmetry_scan_per_form(self, monkeypatch, count_calls):
@@ -497,6 +514,14 @@ class TestOneAnalysisPerForm:
                 "alpha": row.alpha,
                 "euler_characteristic": row.euler_characteristic,
             }, label
+
+
+class TestDispatch:
+    def test_unknown_command_exits_2(self):
+        # argparse admits only the five subcommands, so dispatch needs no fallback
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
 
 
 class TestSmale:

@@ -229,6 +229,16 @@ class TestSmithAgainstEager:
         values = (-6, -4, 0, 2, 3, 9)
         for x, y, z in itertools.product(values, repeat=3):
             self.assert_matches(IntMatrix.from_rows([[x, 0, 0], [0, y, 0], [0, 0, z]]))
+        # longer diagonals of entries sharing some primes, such as (4, 6, 10,
+        # 15): a later index then combines two entries that an earlier index
+        # already changed, and one sweep must still end in divisibility order
+        rng = random.Random(6868)
+        for _ in range(150):
+            n = rng.randint(4, 6)
+            rows = [[0] * n for _ in range(n)]
+            for i in range(n):
+                rows[i][i] = rng.choice((0, 4, -4, 6, 9, 10, 15, 35))
+            self.assert_matches(IntMatrix.from_rows(rows))
 
     def test_two_by_two_block_diagonal(self):
         rng = random.Random(6464)
@@ -392,6 +402,9 @@ class TestReplayRows:
             picked = rng.sample(range(a.cols), a.cols // 2)
             assert dec.v_columns(picked) == [vt[j] for j in picked]
             assert dec.factor_rows == tuple(tuple(u[i]) for i, _ in dec.factors)
+            # the same rows read first, off a fresh decomposition of a copy of A
+            fresh = smith_normal_form(IntMatrix.from_rows(a.to_rows()))
+            assert fresh.factor_rows == dec.factor_rows and "u" not in vars(fresh)
 
 
 class TestCokernel:
