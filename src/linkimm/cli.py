@@ -221,22 +221,23 @@ def link_payload(label: DynkinLabel) -> dict:
     }
 
 
-def _bounded(h2):
-    """h2 itself; InvalidGraph when its alpha exceeds MAX_ALPHA, before any listing."""
+def _graph_cohomology(g: PlumbingGraph, a) -> tuple:
+    """H^2 of a graph's form, its label keys, and its H^1(M; Z_2) basis,
+    Gamma_2(0) and Bockstein table as payload rows.
+
+    Raises NotRationalHomologySphere when det A = 0, then InvalidGraph when
+    alpha exceeds MAX_ALPHA, before any listing.
+    """
+    h2 = link_first_homology(a)
     alpha = h2.two_torsion_rank
     if alpha > MAX_ALPHA:
         raise InvalidGraph(f"alpha = {alpha} exceeds the limit {MAX_ALPHA}: "
                            f"Gamma_2(0) would list 2^{alpha} classes")
-    return h2
-
-
-def _cohomology_rows(a, h2) -> tuple:
-    """H^1(M; Z_2) basis, Gamma_2(0) and Bockstein table of a form, as payload rows.
-
-    ``h2`` is the group ``_bounded`` returned, so alpha is at most MAX_ALPHA.
-    """
+    label = recognize_dynkin(g)
     basis = kernel_mod2(a)
     return (
+        h2,
+        {"resolved_label": label.name if label else None, "formal": label is None},
         [list(v) for v in basis],
         [c.coords for c in gamma2(h2, CohClass.zero(h2))],  # 2^alpha rows: no list copies
         [{"kernel_vector": list(vec), "class": list(bockstein(a, Z2Class(vec)).coords)}
@@ -249,16 +250,11 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
         raise InvalidGraph(f"{g.vertex_count} vertices exceed the limit {MAX_VERTICES} "
                            f"of the graph report, which prints n x n matrices")
     a = intersection_matrix(g)
-    h2 = _bounded(link_first_homology(a))  # raises NotRationalHomologySphere when det = 0
+    h2, labels, basis, torsion_square, bock_table = _graph_cohomology(g, a)
     dec = smith_normal_form(a)  # the decomposition link_first_homology built
     sigma = filling_signature(a)
-    basis, torsion_square, bock_table = _cohomology_rows(a, h2)
     value, integral = formal_smale_type(sigma, h2.two_torsion_rank)
-    label = recognize_dynkin(g)
-    payload = {
-        "source": source,
-        "resolved_label": label.name if label else None,
-        "formal": label is None,
+    payload = {"source": source} | labels | {
         "vertices": g.vertex_count,
         "edges": g.edge_count,
         "intersection_matrix": a.to_rows(),
@@ -285,14 +281,8 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
 
 def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
     """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
-    a = intersection_matrix(g)
-    h2 = _bounded(link_first_homology(a))  # raises NotRationalHomologySphere when det = 0
-    basis, torsion_square, bock_table = _cohomology_rows(a, h2)
-    label = recognize_dynkin(g)
-    return {
-        "source": source,
-        "resolved_label": label.name if label else None,
-        "formal": label is None,
+    h2, labels, basis, torsion_square, bock_table = _graph_cohomology(g, intersection_matrix(g))
+    return {"source": source} | labels | {
         "h1_z2_basis": basis,
         "h2": group_payload(h2),
         "gamma2_zero": torsion_square,
@@ -567,7 +557,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # The reader closed stdout (``| head``, say).  Point stdout at
         # devnull so the flush at interpreter exit does not raise again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
     return 0
 

@@ -299,26 +299,26 @@ def _find_min_pivot(rows, t, pos):
     """(i, c): row i and column key c of a least-magnitude entry in rows t.., or None.
 
     Rows t.. hold entries only in the columns at positions >= t, and
-    ``pos`` maps a column key to its position.  Ties go to the first entry
-    in row-major order by position, and the scan ends at the first row
-    holding a unit.
+    ``pos`` maps a column key to its position.  One scan walks each row
+    once: ties go to the first row holding the least magnitude, and within
+    that row to the entry of least position, and the scan ends after the
+    first row holding a unit.
     """
-    best = None
+    best = key = None
     best_abs = 0
     for i in range(t, len(rows)):
-        for e in rows[i].values():
+        for c, e in rows[i].items():
             if e < 0:
                 e = -e
             if e < best_abs or not best_abs:
-                best, best_abs = i, e
+                best, key, best_abs = i, c, e
+            elif e == best_abs and best == i:
+                if pos[c] < pos[key]:
+                    key = c
         if best_abs == 1:
             break
     if best is None:
         return None
-    key = None
-    for c, e in rows[best].items():
-        if (e == best_abs or -e == best_abs) and (key is None or pos[c] < pos[key]):
-            key = c
     return best, key
 
 
@@ -398,7 +398,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
     never visited.  The steps logged are those of a pass over every row.
 
     No row or column step is trivial.  The pivot p is an entry of least
-    magnitude in rows t.. (``_find_min_pivot`` picks it afresh after any
+    magnitude in rows t.. (the same loop picks it again at t after any
     pass that leaves the pivot row or column unclean), and neither pass
     changes an entry before dividing it by p, so each quotient q = x // p
     has |x| >= |p| and is nonzero.  The divisibility step combines two
@@ -434,60 +434,57 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
         found = _find_min_pivot(rows, t, pos)
         if found is None:
             break
-        while True:
-            i, c = found
-            if i != t:
-                for k in rows[t]:  # row t moves down to row i
-                    if last[k] < i:
-                        last[k] = i
-                rows[t], rows[i] = rows[i], rows[t]
-                row_steps.append(("swap", t, i, None))
-            j = pos[c]
-            if j != t:
-                ct = key[t]
-                key[t], key[j] = c, ct
-                pos[c], pos[ct] = t, j
-                col_steps.append(("swap", t, j, None))
-            mt = rows[t]
-            p = mt[c]
-            dirty = False
-            for i in range(t + 1, last[c] + 1):
-                ri = rows[i]
-                if c in ri:
-                    q = ri[c] // p  # never 0: |ri[c]| >= |p| (see the docstring)
-                    for k, x in mt.items():
-                        v = ri.get(k)
-                        if v is None:
-                            ri[k] = -q * x
-                            if last[k] < i:
-                                last[k] = i
-                        else:
-                            v -= q * x
-                            if v:
-                                ri[k] = v
-                            else:
-                                del ri[k]
-                    row_steps.append(("axpy", i, t, -q))
-                    if c in ri:
-                        dirty = True
-            if not dirty:
-                # column t is p*e_t: col_j -= q*col_t changes the pivot row alone
-                for k in sorted(mt, key=pos.__getitem__):
-                    if k == c:
-                        continue
-                    e = mt[k]
-                    q = e // p  # never 0: |e| >= |p| (see the docstring)
-                    col_steps.append(("axpy", pos[k], t, -q))
-                    e -= q * p
-                    if e:
-                        mt[k] = e
-                        dirty = True
+        i, c = found
+        if i != t:
+            for k in rows[t]:  # row t moves down to row i
+                if last[k] < i:
+                    last[k] = i
+            rows[t], rows[i] = rows[i], rows[t]
+            row_steps.append(("swap", t, i, None))
+        j = pos[c]
+        if j != t:
+            ct = key[t]
+            key[t], key[j] = c, ct
+            pos[c], pos[ct] = t, j
+            col_steps.append(("swap", t, j, None))
+        mt = rows[t]
+        p = mt[c]
+        dirty = False
+        for i in range(t + 1, last[c] + 1):
+            ri = rows[i]
+            if c in ri:
+                q = ri[c] // p  # never 0: |ri[c]| >= |p| (see the docstring)
+                for k, x in mt.items():
+                    v = ri.get(k)
+                    if v is None:
+                        ri[k] = -q * x
+                        if last[k] < i:
+                            last[k] = i
                     else:
-                        del mt[k]
-            if not dirty:
-                break
-            found = _find_min_pivot(rows, t, pos)
-        t += 1
+                        v -= q * x
+                        if v:
+                            ri[k] = v
+                        else:
+                            del ri[k]
+                row_steps.append(("axpy", i, t, -q))
+                if c in ri:
+                    dirty = True
+        if not dirty:
+            # column t is p*e_t: col_j -= q*col_t changes the pivot row alone
+            for k in sorted(mt, key=pos.__getitem__):
+                if k == c:
+                    continue
+                e = mt[k]
+                q = e // p  # never 0: |e| >= |p| (see the docstring)
+                col_steps.append(("axpy", pos[k], t, -q))
+                e -= q * p
+                if e:
+                    mt[k] = e
+                    dirty = True
+                else:
+                    del mt[k]
+        if not dirty:
+            t += 1
 
     # A is diagonal now; the remaining steps act on its diagonal d alone.
     d = [rows[i].get(key[i], 0) for i in range(limit)]

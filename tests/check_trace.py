@@ -1,30 +1,28 @@
-"""Fail on any library line that the tier-1 suite never runs.
+"""Run tier-1 under the stdlib ``trace`` module and fail on any library line it never runs.
 
-Run the suite under the stdlib ``trace`` module, then this check on its
-output directory:
+From the repository root:
 
-    STD=$(python -c "import sysconfig; print(sysconfig.get_paths()['stdlib'])")
-    SITE=$(python -c "import sysconfig; print(sysconfig.get_paths()['purelib'])")
-    PYTHONPATH=src python -m trace --count --missing --coverdir cov \\
-        --ignore-dir "$STD:$SITE" --module pytest -q
     python tests/check_trace.py cov
 
-``trace`` marks each line it never saw run with ``>>>>>>`` in
-``cov/linkimm.<module>.cover``.  Every marked line must be in ``ALLOWED``,
-matched by module and stripped line content, and every entry of
-``ALLOWED`` must still be marked, so the list stays exact.  Exits 1 and
-lists the lines otherwise.
+runs ``pytest -q`` in this process under ``trace.Trace``, which ignores
+the standard library and site-packages, and writes one ``.cover`` file
+per traced module into ``cov``.  ``trace`` marks each line it never saw
+run with ``>>>>>>`` in ``cov/linkimm.<module>.cover``.  Every marked line
+must be in ``ALLOWED``, matched by module and stripped line content, and
+every entry of ``ALLOWED`` must still be marked, so the list stays exact.
+Exits 1, listing the lines, when pytest fails or when either rule breaks.
 """
 
 import pathlib
 import sys
+import sysconfig
+import trace
+
+import pytest
 
 ALLOWED = {
-    # a closed stdout and the script entry point: tests run these in a
-    # `python -m linkimm.cli` subprocess, which the trace does not follow
-    ("cli", "except BrokenPipeError:"),
-    ("cli", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"),
-    ("cli", "return 1"),
+    # the script entry point: tests run it in a `python -m linkimm.cli`
+    # subprocess, which the trace does not follow
     ("cli", "sys.exit(main())"),
 }
 
@@ -42,8 +40,7 @@ def untraced(coverdir: pathlib.Path) -> list:
     return found
 
 
-def main(argv) -> int:
-    coverdir = pathlib.Path(argv[1])
+def check(coverdir: pathlib.Path) -> int:
     if not any(coverdir.glob("linkimm.*.cover")):
         print(f"no linkimm.*.cover files in {coverdir}")
         return 1
@@ -56,6 +53,20 @@ def main(argv) -> int:
     for line in stale:
         print(f"allowed but now run, drop it from ALLOWED: {line}")
     return 1 if unexpected or stale else 0
+
+
+def main(argv) -> int:
+    coverdir = pathlib.Path(argv[1])
+    # trace names each .cover file by its module through sys.path when it
+    # writes them, after pytest has taken its own ``pythonpath`` entry away
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    paths = sysconfig.get_paths()
+    tracer = trace.Trace(count=1, trace=0, ignoredirs=[paths["stdlib"], paths["purelib"]])
+    failed = tracer.runfunc(pytest.main, ["-q"])
+    tracer.results().write_results(show_missing=True, summary=False, coverdir=str(coverdir))
+    if failed:
+        print(f"tier-1 failed under trace: pytest exit code {int(failed)}")
+    return 1 if check(coverdir) or failed else 0
 
 
 if __name__ == "__main__":

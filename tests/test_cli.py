@@ -227,6 +227,19 @@ class TestGraph:
         assert proc.wait(timeout=60) == 1
         assert "Traceback" not in err, err
 
+    def test_closed_stdout_in_process_points_stdout_at_devnull(self, monkeypatch, tmp_path):
+        with open(tmp_path / "out", "w") as target:
+            class ClosedStdout:
+                def write(self, text):
+                    raise BrokenPipeError
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedStdout())
+            assert main(["link", "E8"]) == 1
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+
     def test_snf_factorization_reported(self, capsys, tmp_path):
         path = write_graph(tmp_path, DynkinLabel("A", 3))
         doc = run_json(capsys, "graph", path, "--format", "json")
@@ -374,6 +387,36 @@ class TestBocksteinCommand:
         assert code == 2 and not out
         assert "alpha = 17" in err and "limit 16" in err
         assert time.perf_counter() - start < 2
+
+
+class TestGateOrder:
+    """Both graph reports reject in one order: the vertex cap (``graph``
+    only), then det A = 0 (exit 3), then alpha past MAX_ALPHA (exit 2)."""
+
+    @pytest.mark.parametrize("command", ["graph", "bockstein"])
+    def test_a_degenerate_form_exits_3_before_the_alpha_limit(self, capsys, tmp_path, command):
+        # centre -10 with 20 leaves of -2: det A = 0, and the torsion has 18 factors Z/2
+        path = tmp_path / "star.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": 0, "weight": -10}] + [{"id": i, "weight": -2} for i in range(1, 21)],
+            "edges": [{"a": 0, "b": i} for i in range(1, 21)],
+        }))
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert code == 3 and not out
+        assert "free rank 1" in err
+
+    @pytest.mark.parametrize("command, exit_code", [("graph", 2), ("bockstein", 3)])
+    def test_the_vertex_cap_comes_first(self, capsys, tmp_path, command, exit_code):
+        # a 501-vertex chain of weight 0: det A = 0, since n is odd
+        n = cli.MAX_VERTICES + 1
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({
+            "vertices": [{"id": i, "weight": 0} for i in range(n)],
+            "edges": [{"a": i, "b": i + 1} for i in range(n - 1)],
+        }))
+        code, out, err = run(capsys, command, str(path), "--format", "json")
+        assert code == exit_code and not out
+        assert ("501 vertices" in err) == (command == "graph")
 
 
 class TestVertexCap:

@@ -180,6 +180,65 @@ class TestSmithNormalForm:
             assert other is not dec and other == dec and searches
 
 
+class TestPivotSearch:
+    """``_find_min_pivot`` and how often the elimination calls it."""
+
+    class Rows(list):
+        """A list of rows that records the index of each row read."""
+
+        def __init__(self, rows):
+            super().__init__(rows)
+            self.read = []
+
+        def __getitem__(self, i):
+            self.read.append(i)
+            return super().__getitem__(i)
+
+    def test_ties_go_to_the_first_row_and_the_least_position(self):
+        # a column swap put key 4 at position 1 and key 1 at position 4, so
+        # in row 1 the dict order of the two entries of magnitude 2 is the
+        # reverse of their position order; row 0 lies before t and is not read
+        pos = [0, 4, 2, 3, 1]
+        rows = self.Rows([{0: 1}, {1: -2, 2: 6, 4: 2}, {3: 2, 2: -3}, {2: 2}])
+        assert linalg._find_min_pivot(rows, 1, pos) == (1, 4)
+        assert set(rows.read) == {1, 2, 3}
+
+    def test_the_scan_ends_after_the_first_row_holding_a_unit(self):
+        rows = self.Rows([{0: 3}, {1: 2, 3: 1, 2: -1}, {3: 1}, {2: 1}])
+        assert linalg._find_min_pivot(rows, 0, [0, 1, 2, 3]) == (1, 2)
+        assert set(rows.read) == {0, 1}  # row 2 and on are never read
+
+    @staticmethod
+    def grid_form(side, weight):
+        """The form of the side x side grid graph, every weight ``weight``, every edge +1."""
+        rows = [[0] * side ** 2 for _ in range(side ** 2)]
+        for v in range(side ** 2):
+            rows[v][v] = weight
+            for w in (v + 1, v + side):
+                if w < side ** 2 and (w == v + side or w % side):
+                    rows[v][w] = rows[w][v] = 1
+        return rows
+
+    def test_searches_stay_within_their_ceiling(self, monkeypatch):
+        # each ceiling is the count the elimination makes now: one search per
+        # pass, and a pass per pivot position on a Dynkin form
+        rng = random.Random(7373)
+        inputs = {
+            "A_400": ([cartan_a(400)], 400),
+            "D_200": ([cartan_from_edges(200, [(i, i + 1) for i in range(198)] + [(197, 199)])], 200),
+            "grid 10x10 of -5": ([self.grid_form(10, -5)], 243),
+            "mixed-weight trees": ([mixed_weight_tree(rng, n) for n in (100, 130, 160, 200)], 1386),
+        }
+        searches = []
+        find = linalg._find_min_pivot
+        monkeypatch.setattr(linalg, "_find_min_pivot", lambda *args: searches.append(1) or find(*args))
+        for name, (forms, ceiling) in inputs.items():
+            del searches[:]
+            for rows in forms:
+                smith_normal_form(IntMatrix.from_rows(rows))
+            assert len(searches) <= ceiling, name
+
+
 class TestSmithAgainstEager:
     """The logged elimination rebuilds exactly the U, S, V of the eager one."""
 
