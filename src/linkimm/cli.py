@@ -459,6 +459,11 @@ def render_smale_md(p) -> str:
     return "\n".join(out)
 
 
+def report_text(payload, md_renderer, fmt: str) -> str:
+    """A report's text as ``main`` prints it, less the newline: JSON with indent 2, or markdown."""
+    return json.dumps(jsonable(payload), indent=2) if fmt == "json" else md_renderer(payload)
+
+
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
@@ -535,7 +540,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, md_renderer = _dispatch(args)
-        text = json.dumps(jsonable(payload), indent=2) if args.format == "json" else md_renderer(payload)
+        text = report_text(payload, md_renderer, args.format)
     except (InvalidParameter, InvalidGraph) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

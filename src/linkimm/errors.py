@@ -3,8 +3,11 @@
 Every error derives from LinkImmError so callers can catch the whole
 family at once.  Errors fall into two camps: malformed input (bad label
 parameters, non-symmetric matrices, schema violations) and mathematical
-rejection (degenerate intersection forms, parity failures).  The CLI maps
-the first camp to exit code 2 and the second to exit code 3.
+rejection (degenerate intersection forms, parity failures).  ``cli.main``
+exits 2 on InvalidParameter and InvalidGraph and 3 on
+NotRationalHomologySphere; it also exits 2 on a report holding an integer
+past Python's digit limit, and 1 when stdout is closed.  Any other error
+keeps its traceback.
 """
 
 

@@ -68,7 +68,7 @@ class IntMatrix(Record):
     on an entry of any other type, or on a shape that is not two ints
     >= 0; a matrix born sparse (an intersection form, say) builds its n^2
     dense entries only when something reads them: ``entries`` itself,
-    ``row``, ``to_rows``, indexing, ``==``, ``hash``, ``repr`` or ``str``.
+    ``to_rows`` (the one dense row reader), ``==``, ``hash`` or ``repr``.
 
     Matrices the library computes itself skip the checks through
     ``IntMatrix._trusted``: S, U and V of a Smith decomposition with their
@@ -99,17 +99,9 @@ class IntMatrix(Record):
             raise ValueError("ragged rows")
         return IntMatrix(nr, nc, [x for r in rows for x in r])
 
-    def __getitem__(self, ij) -> int:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(ij)
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        nc, e = self.cols, self.entries
+        return [list(e[i * nc : (i + 1) * nc]) for i in range(self.rows)]
 
     @functools.cached_property
     def entries(self) -> tuple:
@@ -158,15 +150,6 @@ class IntMatrix(Record):
                 if rows[j].get(i) != x:
                     return False
         return True
-
-    def __str__(self):
-        if not self.entries:
-            return f"[] ({self.rows}x{self.cols})"
-        width = max(len(str(e)) for e in self.entries)
-        return "\n".join(
-            "[ " + "  ".join(str(e).rjust(width) for e in self.row(i)) + " ]"
-            for i in range(self.rows)
-        )
 
 
 class SmithDecomposition(Record):

@@ -496,7 +496,7 @@ def signature_fraction(a) -> int:
     if not a.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
     n = a.rows
-    num = [list(a.row(i)) for i in range(n)]
+    num = a.to_rows()
     den = [1] * n
     alive = list(range(n - 1, -1, -1))
     sigma = 0
@@ -550,9 +550,9 @@ def kernel_mod2_dense(a) -> list:
         raise ValueError("kernel_mod2 requires a square matrix")
     n = a.rows
     rows = []
-    for i in range(n):
+    for row in a.to_rows():
         mask = 0
-        for j, e in enumerate(a.row(i)):
+        for j, e in enumerate(row):
             if e & 1:
                 mask |= 1 << j
         rows.append(mask)

@@ -158,6 +158,7 @@ def test_criterion_6_bockstein_properties():
         torsion_square = gamma2(h2, CohClass.zero(h2))
         ok = ok and len(torsion_square) == 2 ** h2.two_torsion_rank
         dec = smith_normal_form(a)
+        a_rows, u_rows = a.to_rows(), dec.u.to_rows()
         classes = {}
         for x in span:
             cls = bockstein(a, x)
@@ -166,10 +167,10 @@ def test_criterion_6_bockstein_properties():
             ok = ok and cls.is_two_torsion and cls in torsion_square
             # lift independence: a random integral lift gives the same class
             lift = [b - 2 * rng.randint(-2, 2) for b in x.bits]
-            image = [sum(a[i, j] * lift[j] for j in range(n)) for i in range(n)]
+            image = [sum(a_rows[i][j] * lift[j] for j in range(n)) for i in range(n)]
             assert all(v % 2 == 0 for v in image)
             half = [v // 2 for v in image]
-            transformed = [sum(dec.u[i, j] * half[j] for j in range(n)) for i in range(n)]
+            transformed = [sum(u_rows[i][j] * half[j] for j in range(n)) for i in range(n)]
             coords = tuple(t % d for t, d in zip(transformed, dec.diagonal) if d > 1)
             ok = ok and coords == cls.coords
         # additivity over random pairs

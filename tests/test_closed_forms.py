@@ -27,7 +27,11 @@ chains of 2000:
   one sign and |w_v| exceeds the sum of |signs| of the edges at v, the
   form is strictly diagonally dominant, hence definite (Gershgorin), and
   sigma = sgn(w) * n.  Their Smith diagonal multiplies out to |det A|,
-  and at n <= 60 the sparse elimination logs the steps of the dense one.
+  and at n <= 60 the sparse elimination logs the steps of the dense one;
+* random graphs of average degree 10 with weights -6..6 give indefinite
+  forms with no closed form.  Up to n = 100 their Smith form logs the
+  steps of the dense one and multiplies out to |det A|, and sigma
+  matches a dense elimination over Q.
 """
 
 import inspect
@@ -45,7 +49,7 @@ from linkimm.plumbing import PlumbingGraph, filling_signature, intersection_matr
 from linkimm.wu import CohClass, gamma2
 
 from check import bareiss_det
-from oracles import smith_normal_form_dense
+from oracles import signature_fraction, smith_normal_form_dense
 
 
 def invariants(g: PlumbingGraph) -> tuple:
@@ -307,6 +311,19 @@ def dominant_multigraph(rng, n, extra, sign):
     return graph([sign * (load[v] + rng.randint(1, 3)) for v in range(n)], edges)
 
 
+def degree_ten_graph(rng, n):
+    """A random connected multigraph of average degree 10 whose form has det A != 0.
+
+    The edges of ``cyclic_graph`` with 4n + 1 extra edges, and weights in
+    -6..6; a draw whose form is degenerate is drawn again.
+    """
+    while True:
+        _, edges, _ = cyclic_graph(rng, n, 4 * n + 1)
+        g = graph([rng.randint(-6, 6) for _ in range(n)], edges)
+        if bareiss_det(intersection_matrix(g).to_rows()):
+            return g
+
+
 class TestGraphsWithCycles:
     @staticmethod
     def graphs():
@@ -386,3 +403,18 @@ class TestGraphsWithCycles:
             finally:
                 sys.settrace(previous)
             assert checked >= a.rows - 1
+
+
+class TestIndefiniteGraphsWithCycles:
+    """Average degree 10: no dominance, so no closed form; the dense oracles decide."""
+
+    @pytest.mark.parametrize("n", [20, 50, 100])
+    def test_smith_and_signature_match_the_dense_oracles(self, n):
+        a = intersection_matrix(degree_ten_graph(random.Random(7), n))
+        rows = a.to_rows()
+        dec = smith_normal_form(a)
+        s, row_steps, col_steps = smith_normal_form_dense(rows, a.cols)
+        assert dec.s.to_rows() == s
+        assert (dec.row_steps, dec.col_steps) == (row_steps, col_steps)
+        assert math.prod(dec.diagonal) == abs(bareiss_det(rows)) != 0
+        assert linalg.signature(a) == signature_fraction(a)

@@ -1,7 +1,8 @@
 """Golden bytes: the CLI renderings of a fixed corpus hash to recorded digests.
 
-Each group renders its payloads exactly as ``linkimm`` prints them (JSON
-with indent 2, and markdown) and hashes the lot, so any byte drift in a
+Each group renders its payloads through ``cli.report_text``, the function
+``linkimm`` prints with, in both formats (JSON, then markdown, each with
+the newline ``print`` adds) and hashes the lot, so any byte drift in a
 report fails here before it reaches a user.  A degenerate form's exit-3
 message is hashed in place of its report.  The graph, bockstein and
 smale digests were recorded from the code before the Smith transforms
@@ -14,7 +15,6 @@ change.
 """
 
 import hashlib
-import json
 import random
 
 import pytest
@@ -75,7 +75,7 @@ def graph_corpus():
 
 
 def rendered(payload, md_renderer) -> str:
-    return json.dumps(cli.jsonable(payload), indent=2) + "\n" + md_renderer(payload) + "\n"
+    return "".join(cli.report_text(payload, md_renderer, fmt) + "\n" for fmt in ("json", "md"))
 
 
 def graph_outputs(build, md_renderer):

@@ -203,10 +203,14 @@ def test_default_constructor_takes_exactly_the_fields(cls):
                     reason="inline instance values came with CPython 3.11")
 def test_gamma2_classes_keep_no_instance_dict():
     class DictBacked:
-        """Two fields stored through the instance dict, as records stored them before."""
+        """Two fields stored in a real instance dict, as records stored them before.
+
+        Assigning a dict keeps it a dict on every CPython; ``__dict__.update``
+        lets 3.13 store the two fields inline instead.
+        """
 
         def __init__(self, parent, coords):
-            self.__dict__.update(parent=parent, coords=coords)
+            self.__dict__ = {"parent": parent, "coords": coords}
 
     group = FinAbGroup(0, (2,) * 14)
     zero = CohClass(group, (0,) * 14)

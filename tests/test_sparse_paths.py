@@ -184,6 +184,13 @@ def test_is_symmetric_matches_the_dense_slices():
     # intersection forms are born symmetric and never scanned; graphs with
     # zero weights and cancelling multi-edges must still give symmetric forms
     cases += [intersection_matrix(random_graph(rng, rng.randint(1, 20))) for _ in range(300)]
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        rows = random_symmetric(rng, n, -2, 2)
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rng.choice((-2, 2))
+        rows[i][j] += rng.choice((-1, 1))  # one pair off by one, both sides nonzero
+        cases.append(IntMatrix.from_rows(rows))
     for a in cases:
         assert a.is_symmetric() == sliced(a), a
 
@@ -204,8 +211,8 @@ def test_diagonal_slice_matches_the_entrywise_definition():
     for rows, cols in shapes:
         diagonal = tuple(rng.randint(-9, 9) for _ in range(min(rows, cols)))
         dec = SmithDecomposition(rows, cols, diagonal, (), ())
-        s = dec.s
-        assert dec.diagonal == tuple(s[i, i] for i in range(min(rows, cols)))
+        s = dec.s.to_rows()
+        assert dec.diagonal == tuple(s[i][i] for i in range(min(rows, cols)))
 
 
 def ladder_graphs(pool_graphs):

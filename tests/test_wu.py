@@ -225,11 +225,12 @@ class TestBockstein:
             (e7_matrix(), kernel_mod2(e7_matrix())[0]),
         ]:
             n = mat.rows
-            group = CosetGroup(mat.to_rows())
+            mat_rows = mat.to_rows()
+            group = CosetGroup(mat_rows)
             halves = []
             for offsets in itertools.product((0, -2), repeat=n):
                 lift = [b + o for b, o in zip(bits, offsets)]
-                image = [sum(mat[i, j] * lift[j] for j in range(n)) for i in range(n)]
+                image = [sum(mat_rows[i][j] * lift[j] for j in range(n)) for i in range(n)]
                 assert all(v % 2 == 0 for v in image)
                 halves.append(tuple(v // 2 for v in image))
             assert all(group.same_class(h, halves[0]) for h in halves)
@@ -240,7 +241,8 @@ class TestBocksteinAgainstCosetOracle:
 
     def oracle_half(self, mat, bits):
         n = mat.rows
-        image = [sum(mat[i, j] * bits[j] for j in range(n)) for i in range(n)]
+        mat_rows = mat.to_rows()
+        image = [sum(mat_rows[i][j] * bits[j] for j in range(n)) for i in range(n)]
         return tuple(v // 2 for v in image)
 
     @pytest.mark.parametrize("label", [("A", 4), ("A", 5), ("D", 2), ("D", 3), ("E", 6), ("E", 7)])
@@ -336,7 +338,7 @@ class TestRealizeParallelization:
         x = realize_parallelization(a, target)
         assert (len({id(d) for d in decs}), len(kernel), len(beta)) == (1, 0, 1)
         assert not x.is_zero
-        assert all(sum(itertools.compress(a.row(i), x.bits)) % 2 == 0 for i in range(a.rows))
+        assert all(sum(itertools.compress(row, x.bits)) % 2 == 0 for row in a.to_rows())
         assert bockstein(a, x) == target
 
     def test_reads_columns_of_v_only(self, record_results):
