@@ -12,6 +12,8 @@ contact gauge both Wu invariants vanish, leaving
 
 and since the Dynkin intersection forms are negative definite the two
 agree: the immersions are regularly homotopic for every type.
+``RegularHomotopyClass`` is that pair, always stated in the almost contact
+gauge (``ALMOST_CONTACT``, the gauge the CLI prints with each class).
 
 ``table_row`` builds a type's intersection form once and reads H^2, sigma
 and alpha off it (one Smith form and one signature), and chi of its
@@ -46,16 +48,15 @@ class RegularHomotopyClass(Record):
     """Complete invariant of an immersion M^3 -> R^5 with trivial normal bundle.
 
     The Wu class must be 2-torsion (the normal Euler class is twice it and
-    vanishes); the tag records the parallelization gauge the Wu value is
-    stated in.
+    vanishes), and it is stated in the almost contact gauge, ALMOST_CONTACT.
     """
 
-    _fields = ("wu", "smale_type", "parallelization_tag")
+    _fields = ("wu", "smale_type")
 
-    def __init__(self, wu: CohClass, smale_type: int, parallelization_tag: str = ALMOST_CONTACT):
+    def __init__(self, wu: CohClass, smale_type: int):
         if not wu.is_two_torsion:
             raise NotTwoTorsion(f"Wu class {wu} is not 2-torsion")
-        self._store(wu, smale_type, parallelization_tag)
+        self._store(wu, smale_type)
 
 
 class TableRow(Record):

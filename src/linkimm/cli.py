@@ -40,6 +40,7 @@ from fractions import Fraction
 
 from .catalog import singularity_record
 from .classify import (
+    ALMOST_CONTACT,
     RegularHomotopyClass,
     are_regularly_homotopic,
     classify_kinjo_pushforward,
@@ -175,8 +176,7 @@ def smale4_payload(s) -> dict:
 
 
 def class_payload(c: RegularHomotopyClass) -> dict:
-    return {"wu": list(c.wu.coords), "parallelization": c.parallelization_tag,
-            "smale_type": c.smale_type}
+    return {"wu": list(c.wu.coords), "parallelization": ALMOST_CONTACT, "smale_type": c.smale_type}
 
 
 def row_invariants(row) -> dict:
@@ -239,7 +239,7 @@ def _graph_cohomology(g: PlumbingGraph, a) -> tuple:
         h2,
         {"resolved_label": label.name if label else None, "formal": label is None},
         [list(v) for v in basis],
-        [c.coords for c in gamma2(h2, CohClass.zero(h2))],  # 2^alpha rows: no list copies
+        [c.coords for c in gamma2(h2)],  # 2^alpha rows: no list copies
         [{"kernel_vector": list(vec), "class": list(bockstein(a, Z2Class(vec)).coords)}
          for vec in basis],
     )

@@ -13,7 +13,8 @@ and degenerate forms (det A = 0) rather than supporting them partially,
 and each coordinate belongs to one of the diagonal positions in
 ``SmithDecomposition.factors``.
 
-``gamma2`` solves 2C = chi factor by factor.  ``bockstein`` is the
+``gamma2`` lists Gamma_2(0) = {C : 2C = 0}, the value group of the Wu
+invariant of an immersion with trivial normal bundle.  ``bockstein`` is the
 connecting map of 0 -> Z -> Z -> Z_2 -> 0 computed on cochains: lift a
 mod-2 cocycle x to the 0/1 vector, halve A*x (exact by the cocycle
 condition), and read the class of the result in coker(A) through the
@@ -120,26 +121,15 @@ class Z2Class(Record):
         return "(" + "".join(str(b) for b in self.bits) + ")"
 
 
-def gamma2(group: FinAbGroup, chi: CohClass) -> list:
-    """All solutions C of 2C = chi in the given group, factor by factor.
+def gamma2(group: FinAbGroup) -> list:
+    """Gamma_2(0) = {C : 2C = 0} in the given group, factor by factor.
 
-    Only torsion groups are supported (FreeRankUnsupported otherwise); for
-    an odd factor the congruence 2c = chi_i has exactly one solution, for
-    an even one it has two or none.  Returns [] when unsolvable.
+    Only torsion groups are supported (FreeRankUnsupported otherwise); an
+    odd factor d contributes 0 alone, an even one 0 and d/2.
     """
     if group.free_rank:
         raise FreeRankUnsupported("gamma2 requires a finite group (free rank 0)")
-    if chi.parent != group:
-        raise ValueError("chi does not belong to the given group")
-    per_factor = []
-    for d, x in zip(group.invariant_factors, chi.coords):
-        if d % 2:
-            per_factor.append(((x * ((d + 1) // 2)) % d,))
-        elif x % 2:
-            return []
-        else:
-            half = (x // 2) % d
-            per_factor.append(tuple(sorted((half, (half + d // 2) % d))))
+    per_factor = [(0, d // 2) if d % 2 == 0 else (0,) for d in group.invariant_factors]
     # each per-factor solution is already reduced mod its factor
     return [CohClass._trusted(parent=group, coords=combo) for combo in itertools.product(*per_factor)]
 

@@ -26,6 +26,14 @@ import random
 from fractions import Fraction
 
 from linkimm.errors import NotSymmetric
+from linkimm.plumbing import DynkinLabel
+
+# The table sweep: A and D for n = 2..50, plus E6, E7 and E8 (101 labels)
+SWEEP_LABELS = (
+    [DynkinLabel("A", n) for n in range(2, 51)]
+    + [DynkinLabel("D", n) for n in range(2, 51)]
+    + [DynkinLabel("E", k) for k in (6, 7, 8)]
+)
 
 
 # ---------------------------------------------------------------------------

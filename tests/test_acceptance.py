@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from linkimm import cli
 from linkimm.classify import classify_kinjo_pushforward, classify_link_inclusion, table_row
 from linkimm.linalg import (
     FinAbGroup,
@@ -29,10 +30,11 @@ from linkimm.smale import (
     rho_map,
     sigma_map,
 )
-from linkimm.wu import CohClass, Z2Class, bockstein, gamma2, realize_parallelization
+from linkimm.wu import Z2Class, bockstein, gamma2, realize_parallelization
 
 from check import _matmul, bareiss_det
 from oracles import (
+    SWEEP_LABELS,
     CosetGroup,
     random_matrix,
     random_negative_definite_tree,
@@ -40,18 +42,6 @@ from oracles import (
     signature_by_root_count,
 )
 from test_smale import rational_unit_quaternions
-
-SWEEP_LABELS = (
-    [DynkinLabel("A", n) for n in range(2, 51)]
-    + [DynkinLabel("D", n) for n in range(2, 51)]
-    + [DynkinLabel("E", k) for k in (6, 7, 8)]
-)
-
-CARTAN_LABELS = (
-    [DynkinLabel("A", n) for n in range(2, 10)]
-    + [DynkinLabel("D", n) for n in range(2, 10)]
-    + [DynkinLabel("E", k) for k in (6, 7, 8)]
-)
 
 
 def report(num, name, ok, elapsed=None):
@@ -140,7 +130,7 @@ def test_criterion_5_regular_homotopy_and_coincidence():
 def test_criterion_6_bockstein_properties():
     rng = random.Random(160928)
     start = time.perf_counter()
-    matrices = [intersection_matrix(dynkin_graph(label)) for label in CARTAN_LABELS]
+    matrices = [intersection_matrix(dynkin_graph(label)) for label in cli.TABLE_LABELS]
     graphs = []
     for _ in range(100):
         vertices, edges = random_negative_definite_tree(rng, 8)
@@ -155,7 +145,7 @@ def test_criterion_6_bockstein_properties():
         for picks in itertools.product((0, 1), repeat=len(basis)):
             # Z2Class reduces each coordinate of the sum mod 2
             span.append(Z2Class(tuple(sum(p * vec[i] for p, vec in zip(picks, basis)) for i in range(n))))
-        torsion_square = gamma2(h2, CohClass.zero(h2))
+        torsion_square = gamma2(h2)
         ok = ok and len(torsion_square) == 2 ** h2.two_torsion_rank
         dec = smith_normal_form(a)
         a_rows, u_rows = a.to_rows(), dec.u.to_rows()

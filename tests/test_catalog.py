@@ -2,11 +2,7 @@ from linkimm.catalog import singularity_record
 from linkimm.plumbing import DynkinLabel, dynkin_graph
 from linkimm.smale import SmaleClassR5, np_smale_invariant
 
-ALL_LABELS = (
-    [DynkinLabel("A", n) for n in range(2, 51)]
-    + [DynkinLabel("D", n) for n in range(2, 51)]
-    + [DynkinLabel("E", k) for k in (6, 7, 8)]
-)
+from oracles import SWEEP_LABELS
 
 
 def test_group_orders():
@@ -26,7 +22,7 @@ def test_np_values():
 
 
 def test_records_are_self_consistent():
-    for label in ALL_LABELS:
+    for label in SWEEP_LABELS:
         rec = singularity_record(label)
         assert rec.label == label
         assert rec.group_order >= 2
@@ -36,7 +32,7 @@ def test_records_are_self_consistent():
 
 def test_np_equals_negated_degree_formula():
     # The published R^5 value must equal -(#Gamma*(1 + #V) - 1) for every label.
-    for label in ALL_LABELS:
+    for label in SWEEP_LABELS:
         order = singularity_record(label).group_order
         verts = dynkin_graph(label).vertex_count
         assert np_smale_invariant(label).value == -(order * (1 + verts) - 1)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from linkimm import cli
 from linkimm.classify import (
     RegularHomotopyClass,
     are_regularly_homotopic,
@@ -22,33 +23,7 @@ from linkimm.plumbing import (
 )
 from linkimm.wu import CohClass
 
-ALL_LABELS = (
-    [DynkinLabel("A", n) for n in range(2, 51)]
-    + [DynkinLabel("D", n) for n in range(2, 51)]
-    + [DynkinLabel("E", k) for k in (6, 7, 8)]
-)
-
-
-def expected_table_entry(label):
-    """Closed-form table values, written straight from the published table."""
-    n = label.parameter
-    if label.family == "A":
-        h2 = (n,)
-        sig = -(n - 1)
-        al = 1 if n % 2 == 0 else 0
-        smale = -3 * n // 2 if n % 2 == 0 else -3 * (n - 1) // 2
-    elif label.family == "D":
-        h2 = (2, 2) if n % 2 == 0 else (4,)
-        sig = -(n + 2)
-        al = 2 if n % 2 == 0 else 1
-        smale = -3 * (n + 4) // 2 if n % 2 == 0 else -3 * (n + 3) // 2
-    else:
-        h2, sig, al, smale = {
-            6: ((3,), -6, 0, -9),
-            7: ((2,), -7, 1, -12),
-            8: ((), -8, 0, -12),
-        }[n]
-    return h2, sig, al, smale
+from oracles import SWEEP_LABELS
 
 
 class TestClassification:
@@ -65,10 +40,10 @@ class TestClassification:
 
     def test_parallelization_tag(self):
         cls = classify_link_inclusion(table_row(DynkinLabel("E", 6)))
-        assert cls.parallelization_tag == "almost-contact"
+        assert cli.class_payload(cls)["parallelization"] == "almost-contact"
 
     def test_families_agree(self):
-        for label in ALL_LABELS:
+        for label in SWEEP_LABELS:
             row = table_row(label)
             c1 = classify_link_inclusion(row)
             c2 = classify_kinjo_pushforward(row)
@@ -109,22 +84,13 @@ class TestTableRow:
         row = table_row(DynkinLabel("D", 3))
         assert (row.h2.invariant_factors, row.signature, row.alpha, row.smale_type) == ((4,), -5, 1, -9)
 
-    def test_against_closed_forms(self):
-        for label in ALL_LABELS:
-            row = table_row(label)
-            h2, sig, al, smale = expected_table_entry(label)
-            assert row.h2 == FinAbGroup(0, h2), label
-            assert row.signature == sig, label
-            assert row.alpha == al, label
-            assert row.smale_type == smale, label
-
     def test_parity_always_even(self):
-        for label in ALL_LABELS:
+        for label in SWEEP_LABELS:
             row = table_row(label)
             assert (row.signature - row.alpha) % 2 == 0
 
     def test_euler_characteristic_is_the_graphs(self):
-        for label in ALL_LABELS:
+        for label in SWEEP_LABELS:
             row = table_row(label)
             assert row.euler_characteristic == filling_euler_characteristic(dynkin_graph(label)), label
 

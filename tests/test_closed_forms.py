@@ -46,7 +46,7 @@ from linkimm.classify import formal_smale_type
 from linkimm.errors import NotRationalHomologySphere
 from linkimm.linalg import FinAbGroup, cokernel, kernel_mod2, smith_normal_form
 from linkimm.plumbing import PlumbingGraph, filling_signature, intersection_matrix, link_first_homology
-from linkimm.wu import CohClass, gamma2
+from linkimm.wu import gamma2
 
 from check import bareiss_det
 from oracles import signature_fraction, smith_normal_form_dense
@@ -61,7 +61,7 @@ def invariants(g: PlumbingGraph) -> tuple:
     h2 = cokernel(a)
     listed = None
     if not h2.free_rank and h2.two_torsion_rank <= 8:
-        listed = len(gamma2(h2, CohClass.zero(h2)))
+        listed = len(gamma2(h2))
     return h2, filling_signature(a), len(kernel_mod2(a)), listed
 
 

@@ -22,7 +22,7 @@ from linkimm import cli
 from linkimm.errors import NotRationalHomologySphere
 from linkimm.linalg import cokernel
 from linkimm.plumbing import DynkinLabel, PlumbingGraph, dynkin_graph, intersection_matrix
-from linkimm.wu import CohClass, gamma2, realize_parallelization
+from linkimm.wu import gamma2, realize_parallelization
 
 from oracles import random_tree_edges
 
@@ -92,7 +92,7 @@ def realize_outputs():
     for g in stars:
         a = intersection_matrix(g)
         h = cokernel(a)
-        for target in gamma2(h, CohClass.zero(h)):
+        for target in gamma2(h):
             yield f"{list(target.coords)} -> {realize_parallelization(a, target)}\n"
 
 

@@ -264,12 +264,7 @@ class TestSmithAgainstEager:
     def test_mixed_weight_trees(self):
         rng = random.Random(6363)
         for n in (2, 5, 13, 30, 55, 80, 100):
-            rows = [[0] * n for _ in range(n)]
-            for v in range(n):
-                rows[v][v] = rng.choice((-2, -2, -3, -3, -4, -1, -5, 1, 2))
-            for v, p in random_tree_edges(rng, n):
-                rows[v][p] = rows[p][v] = rng.choice((1, -1))
-            self.assert_matches(IntMatrix.from_rows(rows))
+            self.assert_matches(IntMatrix.from_rows(mixed_weight_tree(rng, n)))
 
     def test_diagonal(self):
         # most of these are out of divisibility order or carry a sign, so

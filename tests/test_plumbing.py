@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from linkimm import cli
 from linkimm.errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere, NotSymmetric
 from linkimm.linalg import FinAbGroup, IntMatrix, kernel_mod2, smith_normal_form
 from linkimm.plumbing import (
@@ -17,12 +18,6 @@ from linkimm.plumbing import (
 
 from check import bareiss_det
 from oracles import random_negative_definite_tree
-
-ALL_TABLE_LABELS = (
-    [DynkinLabel("A", n) for n in range(2, 10)]
-    + [DynkinLabel("D", n) for n in range(2, 10)]
-    + [DynkinLabel("E", k) for k in (6, 7, 8)]
-)
 
 
 def dynkin_form(family, parameter):
@@ -77,14 +72,14 @@ class TestDynkinGraph:
         assert sorted(deg.values()) == [1, 1, 1, 3]
 
     def test_all_weights_minus_two(self):
-        for label in ALL_TABLE_LABELS:
+        for label in cli.TABLE_LABELS:
             g = dynkin_graph(label)
             assert all(w == -2 for _, w in g.vertices)
             assert g.is_tree
             assert g.vertex_count == label.vertex_count
 
     def test_recognized_back(self):
-        for label in ALL_TABLE_LABELS + [DynkinLabel("A", 51), DynkinLabel("D", 40)]:
+        for label in cli.TABLE_LABELS + [DynkinLabel("A", 51), DynkinLabel("D", 40)]:
             assert recognize_dynkin(dynkin_graph(label)) == label
 
     def test_equals_the_validated_graph(self):
@@ -233,7 +228,7 @@ class TestIntersectionMatrix:
 
     def test_always_symmetric(self):
         rng = random.Random(4242)
-        graphs = [dynkin_graph(label) for label in ALL_TABLE_LABELS]
+        graphs = [dynkin_graph(label) for label in cli.TABLE_LABELS]
         graphs += [PlumbingGraph(*random_negative_definite_tree(rng)) for _ in range(30)]
         for g in graphs:
             a = intersection_matrix(g)
@@ -242,7 +237,7 @@ class TestIntersectionMatrix:
 
     def test_entries_are_exact_ints(self):
         rng = random.Random(77)
-        graphs = [dynkin_graph(label) for label in ALL_TABLE_LABELS]
+        graphs = [dynkin_graph(label) for label in cli.TABLE_LABELS]
         for _ in range(10):
             vertices, edges = random_negative_definite_tree(rng)
             built = PlumbingGraph(vertices, edges)
@@ -266,7 +261,7 @@ class TestFillingInvariants:
         assert filling_signature(dynkin_form("A", 10)) == -9
 
     def test_cartan_negative_definite(self):
-        for label in ALL_TABLE_LABELS:
+        for label in cli.TABLE_LABELS:
             g = dynkin_graph(label)
             assert filling_signature(intersection_matrix(g)) == -g.vertex_count
 
@@ -330,7 +325,7 @@ class TestAlpha:
 
     def test_matches_mod2_kernel_dimension(self):
         rng = random.Random(6021023)
-        graphs = [dynkin_graph(lbl) for lbl in ALL_TABLE_LABELS]
+        graphs = [dynkin_graph(lbl) for lbl in cli.TABLE_LABELS]
         for _ in range(30):
             vertices, edges = random_negative_definite_tree(rng)
             graphs.append(PlumbingGraph(vertices, edges))

@@ -50,12 +50,12 @@ SAMPLES = {
     "regular_homotopy_class_kw": (
         lambda: RegularHomotopyClass(wu=CohClass.zero(FinAbGroup(0, (2,))), smale_type=-3),
         "RegularHomotopyClass(wu=CohClass(parent=FinAbGroup(free_rank=0, invariant_factors=(2,)), "
-        "coords=(0,)), smale_type=-3, parallelization_tag='almost-contact')",
+        "coords=(0,)), smale_type=-3)",
     ),
-    "regular_homotopy_class_tag": (
-        lambda: RegularHomotopyClass(CohClass(G24, (0, 2)), 6, "formal"),
+    "regular_homotopy_class_positional": (
+        lambda: RegularHomotopyClass(CohClass(G24, (0, 2)), 6),
         "RegularHomotopyClass(wu=CohClass(parent=FinAbGroup(free_rank=0, invariant_factors=(2, 4)), "
-        "coords=(0, 2)), smale_type=6, parallelization_tag='formal')",
+        "coords=(0, 2)), smale_type=6)",
     ),
     "table_row": (
         lambda: table_row(DynkinLabel("D", 2)),
@@ -213,11 +213,10 @@ def test_gamma2_classes_keep_no_instance_dict():
             self.__dict__ = {"parent": parent, "coords": coords}
 
     group = FinAbGroup(0, (2,) * 14)
-    zero = CohClass(group, (0,) * 14)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        classes = gamma2(group, zero)
+        classes = gamma2(group)
         middle = tracemalloc.get_traced_memory()[0]
         backed = [DictBacked(c.parent, c.coords) for c in classes]
         end = tracemalloc.get_traced_memory()[0]

@@ -1,0 +1,52 @@
+"""Cost as a tested property: exact ceilings on the work of a Smith form.
+
+The Smith elimination logs every row and column operation it makes
+(``SmithDecomposition.row_steps`` and ``col_steps``), and U and V are
+rebuilt from those logs.  For a given input and pivot rule the log
+lengths and the size of the largest entry of U and V are exact numbers,
+so a change that keeps every answer but makes more steps, or lets the
+coefficients grow, fails here with no clock involved.
+
+Each ceiling is the value the elimination reaches today, with no
+headroom.  A change that lowers a count lowers its ceiling with it; a
+change that raises one says why.
+"""
+
+import random
+
+import pytest
+from linkimm.linalg import IntMatrix, smith_normal_form
+from linkimm.plumbing import DynkinLabel, dynkin_graph, intersection_matrix
+
+from test_closed_forms import degree_ten_graph, graph, grid
+from test_linalg import mixed_weight_tree
+
+
+def alpha_15_star():
+    """Centre of weight -3 with 16 leaves of weight -2, every sign +1: H^2 has alpha = 15."""
+    return graph([-3] + [-2] * 16, [(0, leaf, 1) for leaf in range(1, 17)])
+
+
+# name: (form builder, (row steps, column steps, largest U or V entry in bits))
+LADDER = {
+    "A_400": (lambda: intersection_matrix(dynkin_graph(DynkinLabel("A", 401))), (798, 798, 9)),
+    "grid_10x10": (lambda: intersection_matrix(grid(random.Random(7), 10, 10, -5)), (1517, 856, 830)),
+    "mixed_tree_100": (lambda: IntMatrix.from_rows(mixed_weight_tree(random.Random(7), 100)),
+                       (981, 779, 381)),
+    "mixed_tree_200": (lambda: IntMatrix.from_rows(mixed_weight_tree(random.Random(7), 200)),
+                       (2925, 1884, 1144)),
+    "alpha_15_star": (lambda: intersection_matrix(alpha_15_star()), (66, 134, 4)),
+    "degree_ten_50": (lambda: intersection_matrix(degree_ten_graph(random.Random(7), 50)),
+                      (1932, 831, 632)),
+    "degree_ten_100": (lambda: intersection_matrix(degree_ten_graph(random.Random(7), 100)),
+                       (15190, 3808, 3679)),
+}
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_smith_work_stays_under_its_ceiling(name):
+    build, ceiling = LADDER[name]
+    dec = smith_normal_form(build())
+    bits = max(abs(e).bit_length() for m in (dec.u, dec.v) for row in m.to_rows() for e in row)
+    work = (len(dec.row_steps), len(dec.col_steps), bits)
+    assert all(w <= c for w, c in zip(work, ceiling)), (work, ceiling)

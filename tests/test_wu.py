@@ -100,51 +100,35 @@ class TestCohClass:
 class TestGamma2:
     def test_trivial_group(self):
         g = FinAbGroup(0, ())
-        assert gamma2(g, CohClass.zero(g)) == [CohClass.zero(g)]
+        assert gamma2(g) == [CohClass.zero(g)]
 
     def test_all_two_torsion(self):
         g = FinAbGroup(0, (2, 2))
-        sols = gamma2(g, CohClass.zero(g))
+        sols = gamma2(g)
         assert len(sols) == 4
         assert sorted(s.coords for s in sols) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_odd_order_unique(self):
         g = FinAbGroup(0, (5,))
-        assert gamma2(g, CohClass.zero(g)) == [CohClass.zero(g)]
-        # 2c = 3 mod 5 -> c = 4
-        assert gamma2(g, CohClass(g, (3,))) == [CohClass(g, (4,))]
-
-    def test_unsolvable(self):
-        g = FinAbGroup(0, (4,))
-        assert gamma2(g, CohClass(g, (1,))) == []
-        assert [s.coords for s in gamma2(g, CohClass(g, (2,)))] == [(1,), (3,)]
+        assert gamma2(g) == [CohClass.zero(g)]
 
     def test_free_rank_rejected(self):
         g = FinAbGroup(1, ())
         with pytest.raises(FreeRankUnsupported):
-            gamma2(g, CohClass.zero(g))
-
-    def test_chi_of_another_group_rejected(self):
-        # Z_2 and Z_4 have one coordinate each: the parent check is the only guard
-        with pytest.raises(ValueError, match="does not belong"):
-            gamma2(FinAbGroup(0, (4,)), CohClass.zero(FinAbGroup(0, (2,))))
+            gamma2(g)
 
     def test_matches_brute_force_enumeration(self):
         for factors in [(), (2,), (3,), (4,), (2, 2), (2, 4), (3, 9), (2, 6), (4, 8)]:
             g = FinAbGroup(0, factors)
             elements = list(itertools.product(*map(range, g.invariant_factors)))
-            for chi_coords in elements:
-                chi = CohClass(g, chi_coords)
-                expected = sorted(
-                    c for c in elements
-                    if tuple((2 * x) % d for x, d in zip(c, factors)) == chi.coords
-                )
-                assert sorted(s.coords for s in gamma2(g, chi)) == expected
-
+            expected = sorted(
+                c for c in elements
+                if all((2 * x) % d == 0 for x, d in zip(c, factors))
+            )
+            assert sorted(s.coords for s in gamma2(g)) == expected
 
     def test_classes_equal_the_checked_constructor(self):
-        """Every divisibility chain over {2, 3, 4, 6, 8} with alpha <= 6, several chi each."""
-        rng = random.Random(23)
+        """Every divisibility chain over {2, 3, 4, 6, 8} with alpha <= 6."""
         next_factors = {2: (2, 4, 6, 8), 3: (3, 6), 4: (4, 8), 6: (6,), 8: (8,)}
         chains = [(d,) for d in next_factors]
         groups = [FinAbGroup(0, ())]
@@ -154,17 +138,12 @@ class TestGamma2:
                       if len(c) < 6 and FinAbGroup(0, c + (d,)).two_torsion_rank <= 6]
         assert max(g.two_torsion_rank for g in groups) == 6
         for g in groups:
-            randoms = [tuple(rng.randrange(d) for d in g.invariant_factors) for _ in range(3)]
-            for coords in [(0,) * len(g.invariant_factors), *randoms,
-                           *[tuple(2 * c for c in r) for r in randoms]]:
-                chi = CohClass(g, coords)
-                per_factor = [[c for c in range(d) if (2 * c - x) % d == 0]
-                              for d, x in zip(g.invariant_factors, chi.coords)]
-                expected = [CohClass(g, combo) for combo in itertools.product(*per_factor)]
-                got = gamma2(g, chi)
-                assert got == expected, (g, chi)
-                assert all(type(c.coords) is tuple and hash(c) == hash(e)
-                           for c, e in zip(got, expected))
+            per_factor = [[c for c in range(d) if (2 * c) % d == 0] for d in g.invariant_factors]
+            expected = [CohClass(g, combo) for combo in itertools.product(*per_factor)]
+            got = gamma2(g)
+            assert got == expected, g
+            assert all(type(c.coords) is tuple and hash(c) == hash(e)
+                       for c, e in zip(got, expected))
 
 
 class TestBockstein:
@@ -269,7 +248,7 @@ class TestBocksteinAgainstCosetOracle:
             1 for rep in group.reps if group.in_image(tuple(2 * v for v in rep))
         )
         h = cokernel(a)
-        assert len(gamma2(h, CohClass.zero(h))) == doubled_in_image
+        assert len(gamma2(h)) == doubled_in_image
 
 
 class TestWuSwitch:
@@ -350,7 +329,7 @@ class TestRealizeParallelization:
             h = cokernel(a)
             if h.free_rank:  # centre -1 with two leaves is degenerate
                 continue
-            for target in gamma2(h, CohClass.zero(h)):
+            for target in gamma2(h):
                 del decs[:]
                 realize_parallelization(a, target)
                 assert len({id(d) for d in decs}) == 1
@@ -367,7 +346,7 @@ class TestRealizeParallelization:
     def assert_matches_brute_force(self, a):
         h = cokernel(a)
         first = self.first_preimages(a)
-        targets = gamma2(h, CohClass.zero(h))
+        targets = gamma2(h)
         assert len(first) == len(targets)
         for target in targets:
             assert realize_parallelization(a, target) == first[target.coords]
@@ -401,7 +380,7 @@ class TestRealizeParallelization:
             g = PlumbingGraph(vertices, edges)
             a = intersection_matrix(g)
             h = cokernel(a)
-            targets = gamma2(h, CohClass.zero(h))
+            targets = gamma2(h)
             assert len(targets) == 2 ** link_first_homology(a).two_torsion_rank
             hit = {bockstein(a, realize_parallelization(a, t)).coords for t in targets}
             assert hit == {t.coords for t in targets}
