@@ -41,7 +41,7 @@ Smith pivoting picks minimal-magnitude entries to keep coefficient growth
 down; signature pivoting picks minimal fill, which keeps it linear on trees.
 
 Matrices built from outside input (``IntMatrix(...)``, ``from_rows``)
-have their shape and every entry checked to be ints by the constructor;
+have their shape and every entry checked to be ints (``record.ints``);
 matrices the library computes itself (S, U, V and the intersection form
 of an already checked plumbing graph) skip that check.
 """
@@ -54,7 +54,7 @@ import itertools
 import math
 
 from .errors import NotSymmetric
-from .record import Record
+from .record import Record, ints
 
 
 class IntMatrix(Record):
@@ -64,11 +64,11 @@ class IntMatrix(Record):
     row-major tuple, and ``nonzero_rows``, one dict of nonzero entries per
     row.  It is born with one of them and builds the other from it on
     first read, then keeps it.  The constructor takes dense entries, stores
-    them as a tuple of plain ints (bools become 0/1) and raises ValueError
-    on an entry of any other type, or on a shape that is not two ints
-    >= 0; a matrix born sparse (an intersection form, say) builds its n^2
-    dense entries only when something reads them: ``entries`` itself,
-    ``to_rows`` (the one dense row reader), ``==``, ``hash`` or ``repr``.
+    them and the shape through ``record.ints``, and raises ValueError on a
+    negative shape or a wrong entry count; a matrix born sparse (an
+    intersection form, say) builds its n^2 dense entries only when
+    something reads them: ``entries`` itself, ``to_rows`` (the one dense
+    row reader), ``==``, ``hash`` or ``repr``.
 
     Matrices the library computes itself skip the checks through
     ``IntMatrix._trusted``: S, U and V of a Smith decomposition with their
@@ -79,16 +79,14 @@ class IntMatrix(Record):
     _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        for e in entries:
-            if not isinstance(e, int):
-                raise ValueError(f"non-integer entry {e!r}")
+        entries = ints(entries, "entry")
+        rows, cols = ints((rows, cols), "matrix dimension")
         for dim in (rows, cols):
-            if not isinstance(dim, int) or dim < 0:
+            if dim < 0:
                 raise ValueError(f"matrix dimension {dim!r} must be an integer >= 0")
         if len(entries) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
-        self._store(rows, cols, tuple(map(int, entries)))
+        self._store(rows, cols, entries)
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -223,18 +221,19 @@ class FinAbGroup(Record):
     ``invariant_factors`` is the ascending divisibility chain d_1 | d_2 | ...
     with every d_i >= 2, stored as a tuple; unit factors are never stored.
     The torsion subgroup is the direct sum of Z/d_i, preceded by
-    ``free_rank`` copies of Z.  A free rank or factor that is not an int
-    raises ValueError.
+    ``free_rank`` copies of Z.  Both are read through ``record.ints``; a
+    negative free rank, a factor below 2 or a broken chain raises ValueError.
     """
 
     _fields = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int = 0, invariant_factors: tuple = ()):
-        if not isinstance(free_rank, int) or free_rank < 0:
+        (free_rank,) = ints((free_rank,), "free rank")
+        if free_rank < 0:
             raise ValueError(f"free rank {free_rank!r} must be an integer >= 0")
-        fs = tuple(invariant_factors)
+        fs = ints(invariant_factors, "invariant factor")
         for d in fs:
-            if not isinstance(d, int) or d < 2:
+            if d < 2:
                 raise ValueError(f"invariant factor {d!r} must be an integer >= 2")
         for a, b in zip(fs, fs[1:]):
             if b % a:

@@ -32,13 +32,26 @@ gives every class value semantics:
   AttributeError.
 
 Each class reads its field tuple with one ``operator.attrgetter``, made
-when the class is defined.
+when the class is defined.  ``ints`` is the one integer rule of the
+checked constructors: ``IntMatrix``, ``FinAbGroup``, ``CohClass``, ``Z2Class``.
 """
 
 import functools
 import operator
 
 _ABSENT = object()  # a value left out of ``_trusted``, for its cached_property to build
+
+
+def ints(values, what):
+    """``values``, read once, as a tuple of plain ints: a bool counts as 0/1, any other type raises ValueError."""
+    values = tuple(values)
+    plain = True
+    for v in values:
+        if v.__class__ is not int:
+            if not isinstance(v, int):
+                raise ValueError(f"non-integer {what} {v!r}")
+            plain = False
+    return values if plain else tuple(map(int, values))
 
 
 def _compile(cls, name, params, body):

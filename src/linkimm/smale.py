@@ -268,14 +268,9 @@ def kinjo_smale(label) -> SmaleClassR4:
     record = singularity_record(label)
     a = record.group_order * (1 + label.vertex_count) - 1
     twice_b = -record.np_smale - a
-    if twice_b % 2:
-        raise ConsistencyViolation(
-            f"{label}: rho component {Fraction(twice_b, 2)} is not an integer"
-        )
-    b = twice_b // 2
-    if b != 0:
-        raise ConsistencyViolation(f"{label}: expected rho component 0, derived {b}")
-    return SmaleClassR4(a, b)
+    if twice_b:
+        raise ConsistencyViolation(f"{label}: expected rho component 0, derived {Fraction(twice_b, 2)}")
+    return SmaleClassR4(a, 0)
 
 
 def kinjo_smale_reversed(label) -> SmaleClassR4:

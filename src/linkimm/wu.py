@@ -40,14 +40,7 @@ from .errors import (
 )
 from .linalg import FinAbGroup, IntMatrix, smith_normal_form
 from .plumbing import link_first_homology
-from .record import Record
-
-
-def _check_ints(values):
-    """Raise ValueError on any value that is not an int, as ``IntMatrix`` does."""
-    for v in values:
-        if not isinstance(v, int):
-            raise ValueError(f"non-integer coordinate {v!r}")
+from .record import Record, ints
 
 
 class CohClass(Record):
@@ -55,8 +48,8 @@ class CohClass(Record):
 
     ``coords`` holds one residue per invariant factor (already reduced)
     followed by one integer per free generator.  Equality is coordinate-wise
-    and requires structurally equal parent groups.  A coordinate must be an
-    int (a bool counts as 0/1); any other type raises ValueError.
+    and requires structurally equal parent groups.  After its length check
+    the constructor reads the coordinates through ``record.ints``.
     """
 
     _fields = ("parent", "coords")
@@ -66,9 +59,9 @@ class CohClass(Record):
         expected = len(facs) + parent.free_rank
         if len(coords) != expected:
             raise ValueError(f"expected {expected} coordinates, got {len(coords)}")
-        _check_ints(coords)
-        reduced = [int(c) % d for c, d in zip(coords, facs)]
-        reduced += [int(c) for c in coords[len(facs):]]
+        coords = ints(coords, "coordinate")
+        reduced = [c % d for c, d in zip(coords, facs)]
+        reduced += coords[len(facs):]
         self._store(parent, tuple(reduced))
 
     @staticmethod
@@ -102,16 +95,14 @@ class Z2Class(Record):
 
     Instances meant to represent H^1(M; Z_2) classes must lie in the mod-2
     kernel of the intersection form; the operations that consume them
-    check that and raise NotACocycle otherwise.  A bit must be an int, taken
-    mod 2 (a bool counts as 0/1); any other type raises ValueError.
+    check that and raise NotACocycle otherwise.  The bits are read through
+    ``record.ints`` and stored mod 2.
     """
 
     _fields = ("bits",)
 
     def __init__(self, bits: tuple):
-        bits = tuple(bits)
-        _check_ints(bits)
-        self._store(tuple([int(b) % 2 for b in bits]))
+        self._store(tuple([b % 2 for b in ints(bits, "bit")]))
 
     @property
     def is_zero(self) -> bool:

@@ -1,12 +1,13 @@
 import inspect
 import itertools
+import json
 import random
 import sys
 import time
 from fractions import Fraction
 
 import pytest
-from linkimm import linalg
+from linkimm import cli, linalg
 from linkimm.errors import NotSymmetric
 from linkimm.linalg import (
     FinAbGroup,
@@ -90,6 +91,8 @@ class TestIntMatrixInput:
             IntMatrix(2, 2, [1, 0, 0, entry])
         with pytest.raises(ValueError, match="non-integer entry"):
             IntMatrix(1, 1, (entry,))
+        with pytest.raises(ValueError, match="non-integer entry"):  # a bool before it is no excuse
+            IntMatrix(1, 2, (True, entry))
 
     def test_ints_and_bools_become_plain_ints(self):
         m = IntMatrix.from_rows([[True, -2], [3, False]])
@@ -103,6 +106,12 @@ class TestIntMatrixInput:
         m = IntMatrix(2, 2, [1, 2, 3, 4])  # a list is stored as a tuple
         assert m.entries == (1, 2, 3, 4) and type(m.entries) is tuple
         assert hash(m) == hash(IntMatrix.from_rows([[1, 2], [3, 4]]))
+        m = IntMatrix(True, True, [6])  # the shape follows the same rule
+        assert (m.rows, m.cols) == (1, 1) and type(m.rows) is int and type(m.cols) is int
+        assert type(smith_normal_form(m).rows) is int
+        g = FinAbGroup(True, (2,))  # and so does a group's free rank
+        assert g.free_rank == 1 and type(g.free_rank) is int
+        assert '"free_rank": 1' in json.dumps(cli.jsonable(cli.group_payload(g)))
 
     @pytest.mark.parametrize("rows, cols", [(2.0, 2), (2, 2.0), (-1, -4)], ids=repr)
     def test_constructor_rejects_a_bad_shape(self, rows, cols):

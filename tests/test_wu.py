@@ -78,11 +78,11 @@ class TestCohClass:
     @pytest.mark.parametrize("bad", [1.5, 2.0, "3", Fraction(2), None])
     def test_non_integer_coordinates_raise(self, bad):
         # as for IntMatrix entries: ints only, never a silent int() coercion
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
             CohClass(FinAbGroup(0, (4,)), (bad,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-integer coordinate"):
             CohClass(FinAbGroup(1, ()), (bad,))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-integer bit"):
             Z2Class((1, bad, 0))
 
     def test_bool_coordinates_become_ints(self):
@@ -93,7 +93,7 @@ class TestCohClass:
 
     def test_z2class_takes_an_iterator(self):
         assert Z2Class(b for b in (1, 0, 1)).bits == (1, 0, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-integer bit 0.5"):
             Z2Class(b for b in (1, 0.5))
 
 
