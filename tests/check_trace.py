@@ -10,7 +10,9 @@ per traced module into ``cov``.  ``trace`` marks each line it never saw
 run with ``>>>>>>`` in ``cov/linkimm.<module>.cover``.  Every marked line
 must be in ``ALLOWED``, matched by module and stripped line content, and
 every entry of ``ALLOWED`` must still be marked, so the list stays exact.
-Exits 1, listing the lines, when pytest fails or when either rule breaks.
+Exits 1, listing the lines, when pytest fails or when either rule breaks,
+and 2, printing its usage and running nothing, unless it gets exactly one
+argument that does not start with ``-``.
 """
 
 import pathlib
@@ -56,6 +58,9 @@ def check(coverdir: pathlib.Path) -> int:
 
 
 def main(argv) -> int:
+    if len(argv) != 2 or argv[1].startswith("-"):
+        print("usage: python tests/check_trace.py COVERDIR")
+        return 2
     coverdir = pathlib.Path(argv[1])
     # trace names each .cover file by its module through sys.path when it
     # writes them, after pytest has taken its own ``pythonpath`` entry away

@@ -5,18 +5,16 @@ characteristic polynomial is built by Faddeev-LeVerrier over exact
 rationals, cokernel structure is recovered by explicit coset enumeration
 with membership decided through a rational inverse, and group structure is
 read off p-power torsion counts.  These are the reference values the fast
-implementations are checked against.  ``smith_normal_form_eager`` keeps the
-Smith normal form that updated U and V alongside S, as the reference for
-the library's version that builds them from a step log;
-``smith_normal_form_dense`` keeps the dense-row elimination and its
-forward replay, as the reference for the library's sparse elimination and
-its row-selective backward replay.  ``signature_fraction`` is an exact
-rational elimination on dense rows from the highest index down, with 2x2
-pivots for a zero diagonal, and ``kernel_mod2_dense`` the Gauss-Jordan
-elimination over all n columns, as the references for the library's
-sparse signature and its mod-2 kernel.  Both take an ``IntMatrix`` and
-read only its dense entries, apart from the symmetry check the signature
-starts with.
+implementations are checked against.  ``smith_normal_form_dense`` is the
+one Smith normal form reference: a dense-row elimination that logs its
+row and column steps, and ``_replay`` rebuilds U and V^T from those logs
+step by step, so the library's sparse elimination is checked on S, both
+logs, U and V.  ``signature_fraction`` is an exact rational elimination
+on dense rows from the highest index down, with 2x2 pivots for a zero
+diagonal, and ``kernel_mod2_dense`` the Gauss-Jordan elimination over all
+n columns, as the references for the library's sparse signature and its
+mod-2 kernel.  Both take an ``IntMatrix`` and read only its dense
+entries, apart from the symmetry check the signature starts with.
 """
 
 from __future__ import annotations
@@ -209,7 +207,7 @@ def _prime_factors(n):
 
 
 # ---------------------------------------------------------------------------
-# eager Smith normal form: the reference for the library's logged one
+# dense Smith normal form: the reference for the library's sparse one
 
 
 def _xgcd(a: int, b: int):
@@ -251,108 +249,6 @@ def _row_axpy(m, i, k, c):
             ri[j] += c * e
 
 
-def _col_axpy(m, j, k, c):
-    """col_j += c * col_k."""
-    for row in m:
-        e = row[k]
-        if e:
-            row[j] += c * e
-
-
-def smith_normal_form_eager(rows, nc):
-    """(U, S, V) as row lists, with U and V updated alongside every step.
-
-    The library's ``smith_normal_form`` before its transforms were built
-    from a step log: the same pivots, steps and order, so its U, S and V
-    must equal these entry for entry.  ``nc`` gives the column count of
-    a matrix with no rows.
-    """
-    nr = len(rows)
-    m = [list(r) for r in rows]
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
-
-    t = 0
-    limit = min(nr, nc)
-    while t < limit:
-        pos = _find_min_pivot(m, t, nr, nc)
-        if pos is None:
-            break
-        while True:
-            i, j = pos
-            if i != t:
-                m[t], m[i] = m[i], m[t]
-                u[t], u[i] = u[i], u[t]
-            if j != t:
-                for row in m:
-                    row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
-            p = m[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                e = m[i][t]
-                if e:
-                    q = e // p
-                    if q:
-                        _row_axpy(m, i, t, -q)
-                        _row_axpy(u, i, t, -q)
-                    if m[i][t]:
-                        dirty = True
-            if not dirty:
-                for j in range(t + 1, nc):
-                    e = m[t][j]
-                    if e:
-                        q = e // p
-                        if q:
-                            _col_axpy(m, j, t, -q)
-                            _col_axpy(v, j, t, -q)
-                        if m[t][j]:
-                            dirty = True
-            if not dirty:
-                break
-            pos = _find_min_pivot(m, t, nr, nc)
-        t += 1
-
-    for i in range(limit):
-        if m[i][i] < 0:
-            for j in range(nc):
-                m[i][j] = -m[i][j]
-            for j in range(nr):
-                u[i][j] = -u[i][j]
-
-    changed = True
-    while changed:
-        changed = False
-        for i in range(limit - 1):
-            for j in range(i + 1, limit):
-                di, dj = m[i][i], m[j][j]
-                if di == 0 and dj == 0:
-                    continue
-                if di != 0 and dj % di == 0:
-                    continue
-                g, x, y = _xgcd(di, dj)
-                _col_axpy(m, i, j, 1)
-                _col_axpy(v, i, j, 1)
-                bi, bj = m[i][:], m[j][:]
-                m[i] = [x * p + y * q for p, q in zip(bi, bj)]
-                m[j] = [-(dj // g) * p + (di // g) * q for p, q in zip(bi, bj)]
-                bi, bj = u[i][:], u[j][:]
-                u[i] = [x * p + y * q for p, q in zip(bi, bj)]
-                u[j] = [-(dj // g) * p + (di // g) * q for p, q in zip(bi, bj)]
-                c = (y * dj) // g
-                if c:
-                    _col_axpy(m, j, i, -c)
-                    _col_axpy(v, j, i, -c)
-                changed = True
-
-    return u, m, v
-
-
-# ---------------------------------------------------------------------------
-# dense Smith normal form: the reference for the library's sparse one
-
-
 def _replay(n: int, steps) -> list:
     """Rows of the n x n identity after the logged row steps, in order.
 
@@ -379,12 +275,12 @@ def _replay(n: int, steps) -> list:
 def smith_normal_form_dense(rows, nc):
     """(S as row lists, row step log, column step log) by dense elimination.
 
-    The library's ``smith_normal_form`` before its rows went sparse: every
-    step walks whole dense rows, and a column swap touches every row.  The
-    sparse elimination must log the same steps in the same order and end
-    with the same S.  ``_replay(len(rows), row_steps)`` rebuilds U and
-    ``_replay(nc, col_steps)`` rebuilds V^T.  ``nc`` gives the column count
-    of a matrix with no rows.
+    The library's pivot rule on dense rows: every step walks whole rows,
+    and a column swap touches every row.  The sparse elimination must log
+    the same steps in the same order and end with the same S.
+    ``_replay(len(rows), row_steps)`` rebuilds U and ``_replay(nc,
+    col_steps)`` rebuilds V^T, which the library's U and V must equal.
+    ``nc`` gives the column count of a matrix with no rows.
     """
     nr = len(rows)
     m = [list(r) for r in rows]

@@ -28,7 +28,6 @@ from oracles import (
     signature_by_root_count,
     signature_fraction,
     smith_normal_form_dense,
-    smith_normal_form_eager,
 )
 
 # Cartan matrices (negative-definite convention: -2 diagonal, +1 adjacency)
@@ -238,15 +237,21 @@ class TestPivotSearch:
 
 
 class TestSmithAgainstEager:
-    """The logged elimination rebuilds exactly the U, S, V of the eager one."""
+    """Small and awkward forms against the dense reference, U and V read in full.
+
+    S and both step logs must equal the dense elimination's, and U and the
+    columns of V must equal the dense logs replayed forward.
+    """
 
     @staticmethod
     def assert_matches(a: IntMatrix):
-        u, s, v = smith_normal_form_eager(a.to_rows(), a.cols)
+        s, row_steps, col_steps = smith_normal_form_dense(a.to_rows(), a.cols)
         dec = smith_normal_form(a)
         assert dec.s.to_rows() == s
-        assert dec.u.to_rows() == u
-        assert dec.v.to_rows() == v
+        assert (dec.row_steps, dec.col_steps) == (row_steps, col_steps)
+        assert dec.u.to_rows() == replay_dense(a.rows, row_steps)
+        v_columns = [[row[j] for row in dec.v.to_rows()] for j in range(a.cols)]
+        assert v_columns == replay_dense(a.cols, col_steps)
         assert (dec.u.rows, dec.u.cols, dec.v.rows, dec.v.cols) == (a.rows, a.rows, a.cols, a.cols)
 
     def test_shapes(self):
@@ -342,11 +347,11 @@ class TestSmithAgainstEager:
         assert columns == [[row[j] for row in d4.v.to_rows()] for j in (3, 0, 2)]
 
 
-class TestSmithAgainstDense(TestSmithAgainstEager):
-    """The sparse elimination logs exactly the steps of the dense one.
+class TestSmithAgainstDense:
+    """A ladder of larger and sparser forms against the dense reference.
 
-    Every input of ``TestSmithAgainstEager`` runs again against the dense
-    oracle, and so does a ladder of larger and sparser forms.
+    Only S and both step logs are compared: replaying U and V as well
+    would more than double the time of the larger rungs.
     """
 
     @staticmethod

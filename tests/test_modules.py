@@ -65,3 +65,15 @@ def test_cli_import_loads_no_introspection_modules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.split() == []
+
+
+def test_oracles_import_no_computational_path():
+    # tests/oracles.py is the reference the library is checked against, so
+    # it may take the library's error type and Dynkin label and nothing else
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {f"{node.module}.{alias.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if name.split(".")[0] == "linkimm"} == {
+        "linkimm.errors.NotSymmetric", "linkimm.plumbing.DynkinLabel"}

@@ -5,7 +5,9 @@ The Smith elimination logs every row and column operation it makes
 rebuilt from those logs.  For a given input and pivot rule the log
 lengths and the size of the largest entry of U and V are exact numbers,
 so a change that keeps every answer but makes more steps, or lets the
-coefficients grow, fails here with no clock involved.
+coefficients grow, fails here with no clock involved.  The byte length of
+a graph report and of a Bockstein report, in JSON and in markdown, is
+exact in the same way.
 
 Each ceiling is the value the elimination reaches today, with no
 headroom.  A change that lowers a count lowers its ceiling with it; a
@@ -15,6 +17,7 @@ change that raises one says why.
 import random
 
 import pytest
+from linkimm import cli
 from linkimm.linalg import IntMatrix, smith_normal_form
 from linkimm.plumbing import DynkinLabel, dynkin_graph, intersection_matrix
 
@@ -60,3 +63,22 @@ def test_smith_work_stays_under_its_ceiling(name):
     if ceiling[2] is not None:
         work.append(max(abs(e).bit_length() for m in (dec.u, dec.v) for row in m.to_rows() for e in row))
     assert all(w <= c for w, c in zip(work, ceiling)), (work, ceiling)
+
+
+# name: (graph builder, (graph json, graph md, bockstein json, bockstein md) in UTF-8 bytes)
+REPORTS = {
+    "A_400": (lambda: dynkin_graph(DynkinLabel("A", 401)), (6871796, 644367, 258, 102)),
+    "grid_10x10": (lambda: grid(random.Random(7), 10, 10, -5), (537979, 41573, 384, 167)),
+    "degree_ten_50": (lambda: degree_ten_graph(random.Random(7), 50), (179168, 11263, 1462, 322)),
+}
+
+
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_bytes_stay_under_their_ceiling(name):
+    build, ceiling = REPORTS[name]
+    g = build()
+    sizes = [len(cli.report_text(payload(g, "g.json"), md_renderer, fmt).encode())
+             for payload, md_renderer in ((cli.graph_payload, cli.render_graph_md),
+                                          (cli.bockstein_payload, cli.render_bockstein_md))
+             for fmt in ("json", "md")]
+    assert all(s <= c for s, c in zip(sizes, ceiling)), (sizes, ceiling)
