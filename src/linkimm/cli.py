@@ -233,7 +233,7 @@ def _graph_cohomology(g: PlumbingGraph, a) -> tuple:
     if alpha > MAX_ALPHA:
         raise InvalidGraph(f"alpha = {alpha} exceeds the limit {MAX_ALPHA}: "
                            f"Gamma_2(0) would list 2^{alpha} classes")
-    label = recognize_dynkin(g)
+    label = recognize_dynkin(g, a)
     basis = kernel_mod2(a)
     return (
         h2,
@@ -280,7 +280,7 @@ def graph_payload(g: PlumbingGraph, source: str) -> dict:
 
 
 def bockstein_payload(g: PlumbingGraph, source: str) -> dict:
-    """The Bockstein keys of ``graph_payload``, with no signature and no certificate."""
+    """The Bockstein keys of ``graph_payload``: no certificate, and a -2/+1 graph's signature not printed."""
     h2, labels, basis, torsion_square, bock_table = _graph_cohomology(g, intersection_matrix(g))
     return {"source": source} | labels | {
         "h1_z2_basis": basis,
@@ -319,19 +319,18 @@ def _md_table(headers, rows) -> str:
 
 def _md_matrix(rows) -> str:
     # rows is a graph's intersection matrix, and a graph has a vertex: never empty
-    cells = list(map(str, itertools.chain.from_iterable(rows)))
-    width = max(map(len, cells))
-    cells = [c.rjust(width) for c in cells]
-    n = len(rows[0])
-    return "\n".join("    [ " + "  ".join(cells[k : k + n]) + " ]" for k in range(0, len(cells), n))
+    cell = {v: str(v) for v in set(itertools.chain.from_iterable(rows))}
+    width = max(map(len, cell.values()))
+    cell = {v: c.rjust(width) for v, c in cell.items()}
+    return "\n".join("    [ " + "  ".join(map(cell.__getitem__, row)) + " ]" for row in rows)
 
 
 def _bits(vec) -> str:
-    return "(" + "".join(str(b) for b in vec) + ")"
+    return "(" + "".join(map(str, vec)) + ")"
 
 
 def _coords(coords) -> str:
-    return "(" + ", ".join(str(c) for c in coords) + ")" if coords else "0"
+    return "(" + ", ".join(map(str, coords)) + ")" if coords else "0"
 
 
 def render_table_md(payload) -> str:

@@ -19,8 +19,9 @@ tolerance anywhere.  The three workhorses are:
   so a caller that needs only the diagonal (``cokernel``) builds neither
   S nor a transform, and one that needs a few rows builds only those.
   The decomposition is the one place that reads coker A off the diagonal:
-  its ``factors`` and ``group``.  A matrix keeps its decomposition, so
-  all readers of one form share one elimination and need not pass it on.
+  its ``factors`` and ``group``.  A matrix keeps its decomposition, and
+  its signature, so all readers of one form share one elimination of
+  each kind and need not pass it on.
 * ``signature`` -- the signature of a symmetric form by fraction-free
   congruence (Schur-complement) elimination on sparse rows, one 1x1
   pivot at a time, each row held as integer numerators over one positive
@@ -512,7 +513,8 @@ def signature(a: IntMatrix) -> int:
     zero, the congruence e_i -> e_i + e_j, at the lowest remaining row i
     with an entry and its lowest column j, gives row i the diagonal
     2*A[i][j] first.  Zero eigenvalues contribute nothing, so singular
-    forms are fine.  Raises NotSymmetric otherwise.
+    forms are fine.  Raises NotSymmetric otherwise.  Keeps the value on A,
+    as ``smith_normal_form`` keeps its decomposition.
 
     Each row of the remaining block is held as a dict of its nonzero
     integer numerators over one positive row denominator.  A pivot with
@@ -531,6 +533,8 @@ def signature(a: IntMatrix) -> int:
     nonzero, and its step updates one row: the leaf elimination of
     Neumann's plumbing calculus, linear up to the heap's log factor.
     """
+    if "_signature" in a.__dict__:
+        return a._signature
     if not a.is_symmetric():
         raise NotSymmetric("signature requires a symmetric matrix")
     rows = {i: dict(row) for i, row in enumerate(a.nonzero_rows)}
@@ -615,7 +619,8 @@ def signature(a: IntMatrix) -> int:
             irow[c] //= g
         den[i] = l // g
         heapq.heappush(heap, (len(irow) - 1, i))
-    return pos - neg
+    a.__dict__["_signature"] = pos - neg
+    return a._signature
 
 
 def kernel_mod2(a: IntMatrix) -> list:

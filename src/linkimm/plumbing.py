@@ -16,6 +16,9 @@ minimal resolutions of simple singularities: every vertex weight is -2 and
 every edge sign +1.  The family parameter follows the germ exponent: ``A``
 with parameter n is the diagram A_{n-1} (n >= 2), ``D`` with parameter n
 is D_{n+2} (n >= 2), and ``E`` takes parameter 6, 7, or 8 directly.
+``recognize_dynkin`` tells these diagrams apart by invariants of the
+form, not by their shape: a -2/+1 graph is one exactly when its form is
+negative definite, and coker A names which.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere, NotSymmetric
-from .linalg import FinAbGroup, IntMatrix, cokernel, signature
+from .linalg import FinAbGroup, IntMatrix, cokernel, signature, smith_normal_form
 from .record import Record
 
 FAMILIES = ("A", "D", "E")
@@ -133,10 +136,6 @@ class PlumbingGraph(Record):
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    @property
-    def is_tree(self) -> bool:
-        return self.edge_count == self.vertex_count - 1
 
     @staticmethod
     def from_dict(data) -> "PlumbingGraph":
@@ -256,44 +255,24 @@ def link_first_homology(a: IntMatrix) -> FinAbGroup:
     return group
 
 
-def recognize_dynkin(g: PlumbingGraph):
-    """The DynkinLabel this graph realizes, or None.
+def recognize_dynkin(g: PlumbingGraph, a: IntMatrix):
+    """The DynkinLabel that the graph G with intersection form A realizes, or None.
 
-    A match requires every weight -2, every edge sign +1, a tree shape,
-    and either a path (type A) or a single trivalent vertex whose three
-    arm lengths are (1, 1, m) for D or (1, 2, 2|3|4) for E_6/E_7/E_8.
+    A match requires every weight -2, every edge sign +1 (a sign test on
+    G, since a cancelling +1/-1 pair leaves A looking like a tree) and a
+    negative definite A: sigma(A) = -n.  For a connected -2/+1 graph that
+    holds exactly on the A-D-E diagrams (a multi-edge or a cycle makes A
+    indefinite or degenerate), and H^2 = coker A names the diagram:
+    Z/(n+1) is A_n, Z/2 + Z/2 or Z/4 is D_n, and anything else is E_n.
     """
-    if any(w != -2 for _, w in g.vertices):
+    n = g.vertex_count
+    if any(w != -2 for _, w in g.vertices) or any(s != 1 for _, _, s in g.edges):
         return None
-    if any(s != 1 for _, _, s in g.edges):
+    if signature(a) != -n:
         return None
-    if not g.is_tree:
-        return None
-    adj = {v: [] for v, _ in g.vertices}
-    for a, b, _ in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    degrees = sorted(len(nb) for nb in adj.values())
-    if degrees[-1] > 3:
-        return None
-    forks = [v for v, nb in adj.items() if len(nb) == 3]
-    if not forks:
-        return DynkinLabel("A", g.vertex_count + 1)
-    if len(forks) > 1:
-        return None
-    fork = forks[0]
-    arms = []
-    for start in adj[fork]:
-        length = 1
-        prev, cur = fork, start
-        while len(adj[cur]) == 2:
-            nxt = next(v for v in adj[cur] if v != prev)
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == 1 and arms[1] == 1:
-        return DynkinLabel("D", g.vertex_count - 2)
-    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
-        return DynkinLabel("E", arms[2] + 4)
-    return None
+    factors = smith_normal_form(a).group.invariant_factors
+    if factors == (n + 1,):
+        return DynkinLabel("A", n + 1)
+    if factors in ((2, 2), (4,)):
+        return DynkinLabel("D", n - 2)
+    return DynkinLabel("E", n)

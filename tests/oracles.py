@@ -15,6 +15,8 @@ diagonal, and ``kernel_mod2_dense`` the Gauss-Jordan elimination over all
 n columns, as the references for the library's sparse signature and its
 mod-2 kernel.  Both take an ``IntMatrix`` and read only its dense
 entries, apart from the symmetry check the signature starts with.
+``recognize_dynkin_by_shape`` names an A-D-E diagram by walking its
+degrees, forks and arms, the reference for recognition by sigma and H^2.
 """
 
 from __future__ import annotations
@@ -485,6 +487,56 @@ def kernel_mod2_dense(a) -> list:
             vec[p] = rows[idx] >> f & 1
         basis.append(tuple(vec))
     return basis
+
+
+# ---------------------------------------------------------------------------
+# A-D-E diagrams by shape
+
+
+def recognize_dynkin_by_shape(g):
+    """The DynkinLabel of a plumbing graph read off its shape, or None.
+
+    A match requires every weight -2, every edge sign +1, a tree shape,
+    and either a path (type A) or a single trivalent vertex whose three
+    arm lengths are (1, 1, m) for D or (1, 2, 2|3|4) for E_6/E_7/E_8: the
+    classification of the simply-laced Dynkin diagrams, walked over
+    degrees, forks and arm lengths, as the reference for the library's
+    recognition by invariants of the form.
+    """
+    if any(w != -2 for _, w in g.vertices):
+        return None
+    if any(s != 1 for _, _, s in g.edges):
+        return None
+    if g.edge_count != g.vertex_count - 1:
+        return None
+    adj = {v: [] for v, _ in g.vertices}
+    for a, b, _ in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    degrees = sorted(len(nb) for nb in adj.values())
+    if degrees[-1] > 3:
+        return None
+    forks = [v for v, nb in adj.items() if len(nb) == 3]
+    if not forks:
+        return DynkinLabel("A", g.vertex_count + 1)
+    if len(forks) > 1:
+        return None
+    fork = forks[0]
+    arms = []
+    for start in adj[fork]:
+        length = 1
+        prev, cur = fork, start
+        while len(adj[cur]) == 2:
+            nxt = next(v for v in adj[cur] if v != prev)
+            prev, cur = cur, nxt
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[0] == 1 and arms[1] == 1:
+        return DynkinLabel("D", g.vertex_count - 2)
+    if arms[:2] == [1, 2] and arms[2] in (2, 3, 4):
+        return DynkinLabel("E", arms[2] + 4)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -325,8 +325,10 @@ class TestBocksteinCommand:
         for k, g in enumerate(self.corpus()):
             del forms[:], decs[:], sigs[:]
             cli.graph_payload(g, f"g{k}")
-            assert (len(forms), len({id(d) for d in decs}), len(sigs)) == (1, 1, 1)
+            assert (len(forms), len({id(d) for d in decs})) == (1, 1)
             assert decs[0] is smith_normal_form(forms[0])
+            # an A-D-E diagram's recognizer reads sigma too; the form keeps the value
+            assert sigs and {id(args[0]) for args in sigs} == {id(forms[0])}
 
     def test_transforms_are_built_for_the_certificate_only(self, record_results):
         decs = record_results(smith_normal_form)

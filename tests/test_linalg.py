@@ -519,6 +519,15 @@ class TestSignature:
         assert signature(IntMatrix.from_rows([[0, 3], [3, 0]])) == 0
         assert signature(IntMatrix.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 5]])) == 1
 
+    def test_a_matrix_keeps_its_one_signature(self):
+        for rows in (CARTAN_A2, [[0, 3], [3, 4]], [[0]]):
+            a = IntMatrix.from_rows(rows)
+            assert signature(a) == signature_fraction(a)
+            # the second call reads the value kept on A, and eliminates nothing
+            vars(a)["_signature"] = planted = 10 ** 9
+            assert signature(a) == planted
+            assert signature(IntMatrix.from_rows(rows)) == signature_fraction(a)
+
     def test_rejects_asymmetric(self):
         with pytest.raises(NotSymmetric):
             signature(IntMatrix.from_rows([[0, 1], [2, 0]]))
@@ -572,8 +581,9 @@ class TestSignature:
         finally:
             sys.settrace(previous)
         assert runs >= 1
-        # again with the caller's tracer back, so a coverage run sees the branch run
-        assert signature(a) == sigma == signature_fraction(a) == signature_by_root_count(rows)
+        # again on a fresh matrix (A keeps its value) with the caller's
+        # tracer back, so a coverage run sees the branch run
+        assert signature(IntMatrix.from_rows(rows)) == sigma == signature_fraction(a) == signature_by_root_count(rows)
 
     def test_awkward_forms_against_root_counting(self):
         """Zero diagonals, hyperbolic blocks and singular forms, n <= 10."""

@@ -17,7 +17,7 @@ from linkimm.plumbing import (
 )
 
 from check import bareiss_det
-from oracles import random_negative_definite_tree
+from oracles import random_negative_definite_tree, random_tree_edges, recognize_dynkin_by_shape
 
 
 def dynkin_form(family, parameter):
@@ -75,12 +75,13 @@ class TestDynkinGraph:
         for label in cli.TABLE_LABELS:
             g = dynkin_graph(label)
             assert all(w == -2 for _, w in g.vertices)
-            assert g.is_tree
+            assert g.edge_count == g.vertex_count - 1
             assert g.vertex_count == label.vertex_count
 
     def test_recognized_back(self):
         for label in cli.TABLE_LABELS + [DynkinLabel("A", 51), DynkinLabel("D", 40)]:
-            assert recognize_dynkin(dynkin_graph(label)) == label
+            g = dynkin_graph(label)
+            assert recognize_dynkin(g, intersection_matrix(g)) == label
 
     def test_equals_the_validated_graph(self):
         # the diagram skips the constructor's checks; it must pass them
@@ -337,22 +338,22 @@ class TestAlpha:
 class TestRecognizeDynkin:
     def test_rejects_wrong_weight(self):
         g = PlumbingGraph([(0, -3)])
-        assert recognize_dynkin(g) is None
+        assert recognize_dynkin(g, intersection_matrix(g)) is None
 
     def test_rejects_negative_sign(self):
         g = PlumbingGraph([(0, -2), (1, -2)], [(0, 1, -1)])
-        assert recognize_dynkin(g) is None
+        assert recognize_dynkin(g, intersection_matrix(g)) is None
 
     def test_rejects_cycle(self):
         g = PlumbingGraph([(0, -2), (1, -2), (2, -2)], [(0, 1), (1, 2), (2, 0)])
-        assert recognize_dynkin(g) is None
+        assert recognize_dynkin(g, intersection_matrix(g)) is None
 
     def test_rejects_degree_four(self):
         g = PlumbingGraph(
             [(0, -2), (1, -2), (2, -2), (3, -2), (4, -2)],
             [(0, 1), (0, 2), (0, 3), (0, 4)],
         )
-        assert recognize_dynkin(g) is None
+        assert recognize_dynkin(g, intersection_matrix(g)) is None
 
     def test_rejects_two_forks(self):
         # two trivalent vertices: an H-shaped tree
@@ -360,14 +361,55 @@ class TestRecognizeDynkin:
             [(i, -2) for i in range(6)],
             [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)],
         )
-        assert recognize_dynkin(g) is None
+        assert recognize_dynkin(g, intersection_matrix(g)) is None
 
     def test_recognizes_relabeled_path(self):
         g = PlumbingGraph([(10, -2), (20, -2), (30, -2)], [(30, 20), (20, 10)])
-        assert recognize_dynkin(g) == DynkinLabel("A", 4)
+        assert recognize_dynkin(g, intersection_matrix(g)) == DynkinLabel("A", 4)
 
     def test_rejects_long_e_arm(self):
         # single fork with arms (1, 2, 5): neither D nor E
         edges = [(i, i + 1) for i in range(7)] + [(2, 8)]
         g = PlumbingGraph([(i, -2) for i in range(9)], edges)
-        assert recognize_dynkin(g) is None
+        assert recognize_dynkin(g, intersection_matrix(g)) is None
+
+    def test_rejects_t237(self):
+        # T(2,3,7), the E10 shape: arms of 1, 2 and 6 edges.  H^2 = 0 as for
+        # E8, but sigma = -8, so the form is not definite and no E label is built
+        edges = [(i, i + 1) for i in range(8)] + [(2, 9)]
+        g = PlumbingGraph([(i, -2) for i in range(10)], edges)
+        a = intersection_matrix(g)
+        assert (filling_signature(a), link_first_homology(a)) == (-8, FinAbGroup())
+        assert recognize_dynkin(g, a) is None
+
+    def test_agrees_with_the_shape_walk(self):
+        labels = ([DynkinLabel("A", n) for n in range(2, 62)] + [DynkinLabel("D", n) for n in range(2, 60)]
+                  + [DynkinLabel("E", k) for k in (6, 7, 8)])
+        for label in labels:
+            g = dynkin_graph(label)
+            assert recognize_dynkin(g, intersection_matrix(g)) == recognize_dynkin_by_shape(g) == label
+        # random recursive -2/+1 trees, some with an extra edge (a cycle or a
+        # multi-edge), one -1 or -3 weight, one -1 sign, or a cancelling +1/-1 pair
+        rng = random.Random(3102)
+        found = set()
+        for _ in range(6000):
+            n = rng.randint(1, 14)
+            vertices = [(i, -2) for i in range(n)]
+            edges = [(a, b, 1) for a, b in random_tree_edges(rng, n)]
+            change = rng.randrange(5)
+            if change == 1 and n > 1:
+                edges.append((*rng.sample(range(n), 2), 1))
+            elif change == 2:
+                k = rng.randrange(n)
+                vertices[k] = (k, rng.choice((-1, -3)))
+            elif change == 3 and n > 1:
+                k = rng.randrange(n - 1)
+                edges[k] = (*edges[k][:2], -1)
+            elif change == 4 and n > 1:
+                a, b = rng.sample(range(n), 2)
+                edges += [(a, b, 1), (a, b, -1)]
+            g = PlumbingGraph(vertices, edges)
+            label = recognize_dynkin_by_shape(g)
+            assert recognize_dynkin(g, intersection_matrix(g)) == label, g
+            found.add(label.family if label else None)
+        assert found == {"A", "D", "E", None}
