@@ -360,17 +360,17 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
 
     U and V are unimodular; S is (rectangular-)diagonal and nonnegative
     with S[i,i] | S[i+1,i+1].  Works for any integer matrix, including
-    empty and rectangular ones, and keeps the decomposition on A: a later
-    call on A returns the same object.  Pivots are chosen with minimal absolute
-    value to limit coefficient growth.  The elimination runs on A alone,
-    each row held as a dict of its nonzero entries, and logs its steps; U
-    and V are built from the logs on first read, and S from the diagonal
-    the elimination ends with (see ``SmithDecomposition``).  A row step
-    reads the nonzeros of the pivot row, and a column swap exchanges two
-    positions without touching a row.  A column step follows a clean row
-    pass, when column t is p*e_t, so it changes the pivot row alone; after
-    the loop A is diagonal, so the sign and gcd/lcm steps change only the
-    diagonal.
+    empty and rectangular ones, and keeps the decomposition on A: every
+    call on A returns the object kept first, even when first calls overlap
+    (each then eliminates).  Pivots are chosen with minimal absolute value
+    to limit coefficient growth.  The elimination runs on A alone, each row
+    held as a dict of its nonzero entries, and logs its steps; U and V are
+    built from the logs on first read, and S from the diagonal the
+    elimination ends with (see ``SmithDecomposition``).  A row step reads
+    the nonzeros of the pivot row, and a column swap exchanges two positions
+    without touching a row.  A column step follows a clean row pass, when
+    column t is p*e_t, so it changes the pivot row alone; after the loop A
+    is diagonal, so the sign and gcd/lcm steps change only the diagonal.
 
     The row pass clears the pivot column below the pivot.  It visits rows
     t+1 .. ``last[c]`` only, where ``last[c]`` bounds the index of the last
@@ -496,8 +496,7 @@ def smith_normal_form(a: IntMatrix) -> SmithDecomposition:
             col_steps.append(("axpy", j, i, -((y * dj) // g)))
             d[i], d[j] = g, di // g * dj
 
-    a.__dict__["_smith"] = SmithDecomposition(nr, nc, tuple(d), tuple(row_steps), tuple(col_steps))
-    return a._smith
+    return a.__dict__.setdefault("_smith", SmithDecomposition(nr, nc, tuple(d), tuple(row_steps), tuple(col_steps)))
 
 
 def cokernel(a: IntMatrix) -> FinAbGroup:
@@ -619,8 +618,7 @@ def signature(a: IntMatrix) -> int:
             irow[c] //= g
         den[i] = l // g
         heapq.heappush(heap, (len(irow) - 1, i))
-    a.__dict__["_signature"] = pos - neg
-    return a._signature
+    return a.__dict__.setdefault("_signature", pos - neg)
 
 
 def kernel_mod2(a: IntMatrix) -> list:

@@ -13,9 +13,11 @@ linear algebra in :mod:`linkimm.linalg`.
 
 Dynkin diagrams of types A, D, E enter with the weight convention of
 minimal resolutions of simple singularities: every vertex weight is -2 and
-every edge sign +1.  The family parameter follows the germ exponent: ``A``
-with parameter n is the diagram A_{n-1} (n >= 2), ``D`` with parameter n
-is D_{n+2} (n >= 2), and ``E`` takes parameter 6, 7, or 8 directly.
+every edge sign +1.  The family parameter follows the germ exponent, and
+``FAMILIES`` maps each family to its diagram's vertex count less the
+parameter: ``A`` n (n >= 2) is A_{n-1}, ``D`` n (n >= 2) is D_{n+2}, and
+``E`` takes 6, 7, or 8 directly.  ``DynkinLabel.vertex_count``,
+``dynkin_graph`` and ``recognize_dynkin`` all read that one table.
 ``recognize_dynkin`` tells these diagrams apart by invariants of the
 form, not by their shape: a -2/+1 graph is one exactly when its form is
 negative definite, and coker A names which.
@@ -29,7 +31,7 @@ from .errors import InvalidGraph, InvalidParameter, NotRationalHomologySphere, N
 from .linalg import FinAbGroup, IntMatrix, cokernel, signature, smith_normal_form
 from .record import Record
 
-FAMILIES = ("A", "D", "E")
+FAMILIES = {"A": -1, "D": 2, "E": 0}  # family: diagram vertices less the label parameter
 
 
 class DynkinLabel(Record):
@@ -38,7 +40,7 @@ class DynkinLabel(Record):
     _fields = ("family", "parameter")
 
     def __init__(self, family: str, parameter: int):
-        if family not in FAMILIES:
+        if not isinstance(family, str) or family not in FAMILIES:  # a list would make the lookup raise TypeError
             raise InvalidParameter(f"unknown family {family!r}, expected A, D, or E")
         if family in ("A", "D"):
             if not isinstance(parameter, int) or parameter < 2:
@@ -51,11 +53,7 @@ class DynkinLabel(Record):
 
     @property
     def vertex_count(self) -> int:
-        if self.family == "A":
-            return self.parameter - 1
-        if self.family == "D":
-            return self.parameter + 2
-        return self.parameter
+        return self.parameter + FAMILIES[self.family]
 
     @property
     def name(self) -> str:
@@ -183,22 +181,17 @@ def dynkin_graph(label: DynkinLabel) -> PlumbingGraph:
     """The Dynkin diagram of the label as a plumbing graph.
 
     All vertex weights are -2 and all edge signs +1.  Vertices are numbered
-    0..k-1: families A and D lay out a path 0-1-...; D appends its two
-    extra leaves to the far end of the path; E attaches its extra vertex to
-    position 2 of the path.  The diagram is a valid connected graph by
-    construction, so it skips the constructor's checks.
+    0..k-1.  A lays out the path 0-1-...-(k-1); D and E lay out the path
+    0..k-2 and hang vertex k-1 off position k-3 (D) or 2 (E) of it.  The
+    diagram is a valid connected graph by construction, so it skips the
+    constructor's checks.
     """
     k = label.vertex_count
     vertices = tuple([(i, -2) for i in range(k)])
-    if label.family == "A":
-        edges = [(i, i + 1, 1) for i in range(k - 1)]
-    elif label.family == "D":
-        n = label.parameter
-        edges = [(i, i + 1, 1) for i in range(n - 1)]  # path 0..n-1
-        edges += [(n - 1, n, 1), (n - 1, n + 1, 1)]  # two leaves at the fork
-    else:
-        edges = [(i, i + 1, 1) for i in range(k - 2)]  # path 0..k-2
-        edges.append((2, k - 1, 1))
+    fork = {"D": k - 3, "E": 2}.get(label.family)  # where the last vertex hangs off the path
+    edges = [(i, i + 1, 1) for i in range(k - 1 if fork is None else k - 2)]
+    if fork is not None:
+        edges.append((fork, k - 1, 1))
     return PlumbingGraph._trusted(vertices=vertices, edges=tuple(edges))
 
 
@@ -271,8 +264,5 @@ def recognize_dynkin(g: PlumbingGraph, a: IntMatrix):
     if signature(a) != -n:
         return None
     factors = smith_normal_form(a).group.invariant_factors
-    if factors == (n + 1,):
-        return DynkinLabel("A", n + 1)
-    if factors in ((2, 2), (4,)):
-        return DynkinLabel("D", n - 2)
-    return DynkinLabel("E", n)
+    family = "A" if factors == (n + 1,) else "D" if factors in ((2, 2), (4,)) else "E"
+    return DynkinLabel(family, n - FAMILIES[family])

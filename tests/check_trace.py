@@ -5,14 +5,16 @@ From the repository root:
     python tests/check_trace.py cov
 
 runs ``pytest -q`` in this process under ``trace.Trace``, which ignores
-the standard library and site-packages, and writes one ``.cover`` file
-per traced module into ``cov``.  ``trace`` marks each line it never saw
-run with ``>>>>>>`` in ``cov/linkimm.<module>.cover``.  Every marked line
-must be in ``ALLOWED``, matched by module and stripped line content, and
-every entry of ``ALLOWED`` must still be marked, so the list stays exact.
-Exits 1, listing the lines, when pytest fails or when either rule breaks,
-and 2, printing its usage and running nothing, unless it gets exactly one
-argument that does not start with ``-``.
+the standard library, site-packages, ``tests`` and ``bench``, so only
+``src/linkimm`` is traced, and writes one ``.cover`` file per traced
+module into ``cov``.  ``trace`` marks each line it never saw run with
+``>>>>>>`` in ``cov/linkimm.<module>.cover``.  Every module of
+``src/linkimm`` but ``__init__`` must have its ``.cover`` file, every
+marked line must be in ``ALLOWED``, matched by module and stripped line
+content, and every entry of ``ALLOWED`` must still be marked, so the list
+stays exact.  Exits 1, listing what it found, when pytest fails or when
+any of these rules breaks, and 2, printing its usage and running nothing,
+unless it gets exactly one argument that does not start with ``-``.
 """
 
 import pathlib
@@ -30,6 +32,15 @@ ALLOWED = {
 
 MARK = ">>>>>>"
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# trace decides once per module basename whether to ignore a file, and the
+# first file of that name it meets decides for all: so hypothesis/errors.py
+# seen first would drop linkimm/errors.py without a word, and an earlier
+# __init__ of the standard library always drops linkimm/__init__.py, which
+# tests/test_modules.py keeps free of anything but imports and assignments
+MODULES = sorted(path.stem for path in (ROOT / "src" / "linkimm").glob("*.py") if path.stem != "__init__")
+
 
 def untraced(coverdir: pathlib.Path) -> list:
     """(module, line number, stripped line) of each marked line of a linkimm module."""
@@ -43,9 +54,9 @@ def untraced(coverdir: pathlib.Path) -> list:
 
 
 def check(coverdir: pathlib.Path) -> int:
-    if not any(coverdir.glob("linkimm.*.cover")):
-        print(f"no linkimm.*.cover files in {coverdir}")
-        return 1
+    missing = [m for m in MODULES if not (coverdir / f"linkimm.{m}.cover").is_file()]
+    for m in missing:
+        print(f"never traced: linkimm/{m}.py has no linkimm.{m}.cover in {coverdir}")
     found = untraced(coverdir)
     unexpected = [f"linkimm/{m}.py:{n}: {text}" for m, n, text in found if (m, text) not in ALLOWED]
     marked = {(m, text) for m, _, text in found}
@@ -54,7 +65,7 @@ def check(coverdir: pathlib.Path) -> int:
         print(f"not run by any test: {line}")
     for line in stale:
         print(f"allowed but now run, drop it from ALLOWED: {line}")
-    return 1 if unexpected or stale else 0
+    return 1 if missing or unexpected or stale else 0
 
 
 def main(argv) -> int:
@@ -64,9 +75,10 @@ def main(argv) -> int:
     coverdir = pathlib.Path(argv[1])
     # trace names each .cover file by its module through sys.path when it
     # writes them, after pytest has taken its own ``pythonpath`` entry away
-    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    sys.path.insert(0, str(ROOT / "src"))
     paths = sysconfig.get_paths()
-    tracer = trace.Trace(count=1, trace=0, ignoredirs=[paths["stdlib"], paths["purelib"]])
+    ignoredirs = [paths["stdlib"], paths["purelib"], str(ROOT / "tests"), str(ROOT / "bench")]
+    tracer = trace.Trace(count=1, trace=0, ignoredirs=ignoredirs)
     failed = tracer.runfunc(pytest.main, ["-q"])
     tracer.results().write_results(show_missing=True, summary=False, coverdir=str(coverdir))
     if failed:

@@ -176,6 +176,22 @@ class TestSmithNormalForm:
             other = smith_normal_form(IntMatrix.from_rows(rows))
             assert other is not dec and other == dec and searches
 
+    def test_overlapping_first_calls_return_the_decomposition_kept_first(self, monkeypatch):
+        # the outer call, about to keep its result, first lets a second call
+        # on the same fresh form run to the end and keep its own
+        a = IntMatrix.from_rows(CARTAN_A2)
+        build = linalg.SmithDecomposition
+        inner = []
+
+        def overlapped(*args):
+            monkeypatch.setattr(linalg, "SmithDecomposition", build)  # the inner call builds as usual
+            inner.append(smith_normal_form(a))
+            return build(*args)
+
+        monkeypatch.setattr(linalg, "SmithDecomposition", overlapped)
+        outer = smith_normal_form(a)
+        assert outer is inner[0] is a._smith
+
 
 class TestPivotSearch:
     """``_find_min_pivot`` and how often the elimination calls it."""

@@ -33,7 +33,7 @@ class TestDynkinLabel:
         assert DynkinLabel("E", 7).name == "E_7"
 
     @pytest.mark.parametrize("family,param", [("A", 1), ("D", 1), ("D", 0), ("E", 5), ("E", 9), ("F", 4),
-                                              ("A", 3.0), ("E", 6.0), ("E", True)])
+                                              ("A", 3.0), ("E", 6.0), ("E", True), (["A"], 2)])
     def test_rejects_invalid(self, family, param):
         with pytest.raises(InvalidParameter):
             DynkinLabel(family, param)
@@ -78,8 +78,21 @@ class TestDynkinGraph:
             assert g.edge_count == g.vertex_count - 1
             assert g.vertex_count == label.vertex_count
 
+    def test_edges_are_the_textbook_lists_in_order(self):
+        # the order of the edges fixes the Smith steps, so U and V, of the form
+        def path(last):
+            return tuple((i, i + 1, 1) for i in range(last))
+
+        for n in range(2, 401):
+            assert dynkin_graph(DynkinLabel("A", n)).edges == path(n - 2)  # A_{n-1}
+            assert dynkin_graph(DynkinLabel("D", n)).edges == path(n) + ((n - 1, n + 1, 1),)  # D_{n+2}
+        for k in (6, 7, 8):
+            assert dynkin_graph(DynkinLabel("E", k)).edges == path(k - 2) + ((2, k - 1, 1),)
+
     def test_recognized_back(self):
-        for label in cli.TABLE_LABELS + [DynkinLabel("A", 51), DynkinLabel("D", 40)]:
+        labels = ([DynkinLabel(f, n) for f in "AD" for n in range(2, 401)]
+                  + [DynkinLabel("E", k) for k in (6, 7, 8)])
+        for label in labels:
             g = dynkin_graph(label)
             assert recognize_dynkin(g, intersection_matrix(g)) == label
 
