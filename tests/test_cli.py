@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import runpy
 import subprocess
 import sys
 import time
@@ -567,6 +568,19 @@ class TestDispatch:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["link", "E8"], ["link", "E", "9"]], ids=" ".join)
+    def test_the_module_runs_as_a_script(self, argv, monkeypatch, capsys):
+        # `python -m linkimm.cli`, in process: the entry point exits with
+        # main's code and prints main's report; the cached module goes first,
+        # or runpy warns that linkimm.cli was imported before it ran
+        expected = run(capsys, *argv)
+        monkeypatch.setattr(sys, "argv", ["linkimm", *argv])
+        monkeypatch.delitem(sys.modules, "linkimm.cli")
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("linkimm.cli", run_name="__main__")
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out, captured.err) == expected
 
 
 class TestSmale:

@@ -80,8 +80,8 @@ def test_oracles_import_no_computational_path():
 
 
 def test_init_holds_only_a_docstring_imports_and_assignments():
-    # trace never writes a .cover file for linkimm/__init__.py (see
-    # tests/check_trace.py), so the coverage gate could not see logic there
+    # the package root only re-exports: every computation lives in a
+    # module of its own, which the root imports
     doc, *rest = ast.parse(Path(linkimm.__file__).read_text(encoding="utf-8")).body
     assert isinstance(doc, ast.Expr) and isinstance(doc.value, ast.Constant) and isinstance(doc.value.value, str)
     assert rest and all(isinstance(node, (ast.Import, ast.ImportFrom, ast.Assign)) for node in rest)
