@@ -24,9 +24,11 @@ entries about n bits long; a ``link`` label or ``table --family/--n``
 row whose diagram has more than ``MAX_DIAGRAM_VERTICES`` vertices, since
 the report builds the diagram vertex by vertex; and a report holding an
 integer of more decimal digits than ``sys.get_int_max_str_digits()``,
-the most Python will write out), 3 mathematical rejection
-(degenerate form), 1 when the reader closes stdout before the report is
-written (no traceback).
+the most Python will write out; and a markdown report that stdout's
+encoding cannot write, such as a graph path outside ASCII under
+``PYTHONIOENCODING=ascii``, where ``--format json`` escapes it), 3
+mathematical rejection (degenerate form), 1 when the reader closes stdout
+before the report is written (no traceback).
 """
 
 from __future__ import annotations
@@ -565,6 +567,11 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
+    except UnicodeEncodeError:
+        # a markdown report prints the graph's path as given; JSON escapes it
+        print(f"error: stdout's encoding {sys.stdout.encoding} cannot write this report; "
+              f"--format json writes it in ASCII", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -6,8 +6,8 @@ parameters, non-symmetric matrices, schema violations) and mathematical
 rejection (degenerate intersection forms, parity failures).  ``cli.main``
 exits 2 on InvalidParameter and InvalidGraph and 3 on
 NotRationalHomologySphere; it also exits 2 on a report holding an integer
-past Python's digit limit, and 1 when stdout is closed.  Any other error
-keeps its traceback.
+past Python's digit limit or on one that stdout's encoding cannot write,
+and 1 when stdout is closed.  Any other error keeps its traceback.
 """
 
 

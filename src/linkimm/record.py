@@ -1,19 +1,18 @@
 """The one base of linkimm's immutable value records, and the one place that stores their fields.
 
 A record class lists its field names, in constructor order, in
-``_fields``.  From that list ``Record`` compiles, as
-``collections.namedtuple`` does, two methods:
+``_fields``.  ``Record`` sets them with one of two methods:
 
-* ``_store(self, <fields>)``, compiled with the class, sets the fields,
+* ``_store(self, <fields>)``, compiled with the class as
+  ``collections.namedtuple`` compiles its methods, sets the fields,
   given by position or by name; a missing, extra or unknown argument
   raises TypeError.  It is the ``__init__`` of a class with no checks;
   a class that checks its arguments ends its own ``__init__`` with it.
-* ``_trusted(*, <names>)``, compiled on its first call (few classes use
-  it, and a compile adds to every process's start-up), builds a value
-  the library computed itself, with no checks.  It takes the fields by
-  name, and any value a ``functools.cached_property`` of the class would
-  build: a matrix born sparse gets ``nonzero_rows`` and ``_symmetric``
-  and no dense ``entries``.
+* ``_trusted(**attributes)``, a plain classmethod, builds a value the
+  library computed itself: it sets the given fields, and any value a
+  ``functools.cached_property`` of the class would build, with no checks
+  and nothing compiled.  A matrix born sparse gets ``nonzero_rows`` and
+  ``_symmetric`` and no dense ``entries``.
 
 Both set attributes with ``object.__setattr__``, so CPython 3.11+ keeps
 them as inline values, with no per-instance dict until something reads
@@ -36,10 +35,7 @@ when the class is defined.  ``ints`` is the one integer rule of the
 checked constructors: ``IntMatrix``, ``FinAbGroup``, ``CohClass``, ``Z2Class``.
 """
 
-import functools
 import operator
-
-_ABSENT = object()  # a value left out of ``_trusted``, for its cached_property to build
 
 
 def ints(values, what):
@@ -54,16 +50,6 @@ def ints(values, what):
     return values if plain else tuple(map(int, values))
 
 
-def _compile(cls, name, params, body):
-    """The method ``name`` of ``cls`` from its parameters and body lines, compiled once."""
-    source = "\n    ".join([f"def {name}({', '.join(params)}):", *body])
-    namespace = {"_new": object.__new__, "_set": object.__setattr__, "_ABSENT": _ABSENT}
-    exec(source, namespace)
-    method = namespace[name]
-    method.__qualname__ = f"{cls.__qualname__}.{name}"
-    return method
-
-
 class Record:
     _fields = ()
     _hidden = ()
@@ -72,23 +58,23 @@ class Record:
         fields = cls._fields
         cls._key = operator.attrgetter(*fields)
         checks = "__init__" in vars(cls)
-        cls._store = _compile(cls, "_store" if checks else "__init__", ["self", *fields],
-                              [f"_set(self, {name!r}, {name})" for name in fields])
+        name = "_store" if checks else "__init__"
+        source = "\n    ".join([f"def {name}(self, {', '.join(fields)}):",
+                                *[f"_set(self, {field!r}, {field})" for field in fields]])
+        namespace = {"_set": object.__setattr__}
+        exec(source, namespace)
+        cls._store = namespace[name]
+        cls._store.__qualname__ = f"{cls.__qualname__}.{name}"
         if not checks:
             cls.__init__ = cls._store
 
     @classmethod
     def _trusted(cls, **attributes):
-        """Compile the class's own ``_trusted`` on its first call, and call it."""
-        lazy = [name for name, value in vars(cls).items() if isinstance(value, functools.cached_property)]
-        given = [name for name in cls._fields if name not in lazy]
-        params = ["cls", "*", *given, *[f"{name}=_ABSENT" for name in lazy]]
-        body = ["self = _new(cls)",
-                *[f"_set(self, {name!r}, {name})" for name in given],
-                *[f"if {name} is not _ABSENT: _set(self, {name!r}, {name})" for name in lazy],
-                "return self"]
-        cls._trusted = classmethod(_compile(cls, "_trusted", params, body))
-        return cls._trusted(**attributes)
+        """A value of ``cls`` with the given attributes, set with no checks."""
+        self = object.__new__(cls)
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -240,6 +241,21 @@ class TestGraph:
             monkeypatch.setattr(sys, "stdout", ClosedStdout())
             assert main(["link", "E8"]) == 1
             assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+
+    @pytest.mark.parametrize("command", ["graph", "bockstein"])
+    def test_stdout_that_cannot_write_the_path_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        # the markdown header prints the path as given; JSON escapes it
+        path = write_graph(tmp_path, DynkinLabel("D", 2), name="d4-\u2713.json")
+        written = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="ascii"))
+        assert main([command, path]) == 2
+        sys.stdout.flush()
+        assert written.getvalue() == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "ascii" in err and "--format json" in err
+        assert main([command, path, "--format", "json"]) == 0
+        assert json.loads(written.getvalue())["source"] == path
 
     def test_snf_factorization_reported(self, capsys, tmp_path):
         path = write_graph(tmp_path, DynkinLabel("A", 3))

@@ -3,14 +3,18 @@
 Each sample is built twice by its factory; the expected repr strings are
 the library's published ones and must not drift.  The constructor
 ``Record`` compiles for a class with no checks of its own takes its
-fields as an explicit signature would, and every record keeps its fields
-out of a per-instance dict.
+fields as an explicit signature would, every record keeps its fields
+out of a per-instance dict, and no record class changes after import.
 """
 
+import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
 
+import linkimm
 import pytest
 from linkimm import (
     CohClass,
@@ -27,6 +31,7 @@ from linkimm import (
     SmithDecomposition,
     TableRow,
     Z2Class,
+    dynkin_graph,
     gamma2,
     singularity_record,
     smith_normal_form,
@@ -229,3 +234,40 @@ def test_gamma2_classes_keep_no_instance_dict():
     per_backed = (end - middle - sys.getsizeof(backed)) / n
     assert n == 2 ** 14 and vars(classes[0]) == {"parent": group, "coords": (0,) * 14}
     assert 0 < per_class <= per_backed / 2, (per_class, per_backed)
+
+
+# Run in a fresh interpreter, so that no earlier test has already called
+# any method: prints the attributes of Record classes that a report added,
+# replaced or removed after import.
+UNCHANGED_AFTER_IMPORT = """
+import contextlib, io, json, sys
+from linkimm import cli
+from linkimm.record import Record
+
+def records(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from records(sub)
+
+before = {cls: dict(vars(cls)) for cls in records(Record)}
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["table"], ["link", "E8"], ["smale", "D", "3", "--immersion", "pushforward"],
+                 ["graph", path], ["bockstein", path]):
+        assert cli.main(argv) == 0, argv
+assert list(records(Record)) == list(before)
+absent = object()
+print(json.dumps(sorted(f"{cls.__qualname__}.{name}" for cls, names in before.items()
+                        for name in names.keys() | vars(cls).keys()
+                        if names.get(name, absent) is not vars(cls).get(name, absent))))
+"""
+
+
+def test_reports_leave_every_record_class_as_imported(tmp_path):
+    path = tmp_path / "d4.json"
+    path.write_text(json.dumps(dynkin_graph(DynkinLabel("D", 2)).to_dict()))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linkimm.__file__)))
+    proc = subprocess.run([sys.executable, "-c", UNCHANGED_AFTER_IMPORT, str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
